@@ -83,7 +83,7 @@ void creation_artifact() {
     auto* apache = static_cast<guest::ApacheService*>(web.find_service("httpd"));
     std::vector<std::int64_t> files;
     for (int f = 0; f < 200; ++f) {
-      files.push_back(web.vfs().create_file("d" + std::to_string(f),
+      files.push_back(web.vfs().create_file('d' + std::to_string(f),
                                             512 * sim::kKiB));
     }
     workload::HttpClientFleet fleet(web, *apache, files, {});

@@ -82,7 +82,7 @@ SimRow simulated_once(std::uint64_t seed, const std::string& trace_path = "") {
   cl.start([&ready] { ready = true; });
   while (!ready) s.step();
 
-  cluster::ClusterClientFleet fleet(s, cl.balancer(), {});
+  cluster::ClusterClientFleet fleet(s, *cl.sharded_balancer(), {});
   fleet.start();
   s.run_for(30 * sim::kSecond);
   const sim::SimTime t0 = s.now();
@@ -106,7 +106,7 @@ SimRow simulated_once(std::uint64_t seed, const std::string& trace_path = "") {
   for (const auto d : cl.rejuvenation_durations()) {
     row.longest_host_s = std::max(row.longest_host_s, sim::to_seconds(d));
   }
-  row.deferred = cl.balancer().rejected();
+  row.deferred = cl.sharded_balancer()->rejected();
   if (!trace_path.empty()) {
     std::ofstream os(trace_path);
     obs::ChromeTraceWriter writer(os);
@@ -130,7 +130,8 @@ void parallel_once(std::size_t workers, std::uint64_t seed) {
   cfg.seed = seed;
   cfg.engine = &engine;
   cluster::Cluster cl(engine.partition(0), cfg);
-  cluster::ClusterClientFleet fleet(engine.partition(0), cl.balancer(), {});
+  cluster::ClusterClientFleet fleet(engine.partition(0),
+                                    *cl.sharded_balancer(), {});
 
   bool ready = false;
   cl.start([&ready] { ready = true; });
@@ -153,8 +154,8 @@ void parallel_once(std::size_t workers, std::uint64_t seed) {
     mix(engine.partition(p).executed_events());
   }
   mix(static_cast<std::uint64_t>(fleet.completions().total()));
-  mix(cl.balancer().dispatched());
-  mix(cl.balancer().rejected());
+  mix(cl.sharded_balancer()->dispatched());
+  mix(cl.sharded_balancer()->rejected());
   for (const auto d : cl.rejuvenation_durations()) {
     mix(static_cast<std::uint64_t>(d));
   }

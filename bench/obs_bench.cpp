@@ -20,6 +20,7 @@
 #include <string>
 
 #include "cluster/cluster.hpp"
+#include "cluster/session_fleet.hpp"
 #include "obs/observer.hpp"
 #include "simcore/trace.hpp"
 
@@ -129,7 +130,7 @@ ClusterRun cluster_once(bool observe) {
   bool ready = false;
   cl.start([&ready] { ready = true; });
   while (!ready) s.step();
-  cluster::ClusterClientFleet fleet(s, cl.balancer(), {});
+  cluster::ClusterClientFleet fleet(s, *cl.sharded_balancer(), {});
   fleet.start();
   s.run_for(30 * sim::kSecond);
   bool done = false;
@@ -142,7 +143,7 @@ ClusterRun cluster_once(bool observe) {
   run.wall_seconds = seconds_since(t0);
   mix(run.digest, static_cast<std::uint64_t>(s.now()));
   mix(run.digest, static_cast<std::uint64_t>(fleet.completions().total()));
-  mix(run.digest, cl.balancer().rejected());
+  mix(run.digest, cl.sharded_balancer()->rejected());
   for (const auto d : cl.rejuvenation_durations()) {
     mix(run.digest, static_cast<std::uint64_t>(d));
   }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/session_fleet.hpp"
 #include "simcore/parallel.hpp"
 
 namespace {
@@ -74,7 +75,7 @@ RunResult run_once(const RunConfig& rc) {
   cfg.engine = &engine;
   cluster::Cluster cl(engine.partition(0), cfg);
   cluster::ClusterClientFleet fleet(
-      engine.partition(0), cl.balancer(),
+      engine.partition(0), *cl.sharded_balancer(),
       {.connections = rc.connections > 0 ? rc.connections : 2 * rc.hosts});
 
   const auto t0 = Clock::now();
@@ -101,8 +102,8 @@ RunResult run_once(const RunConfig& rc) {
     mix(r.digest, engine.partition(p).executed_events());
   }
   mix(r.digest, static_cast<std::uint64_t>(fleet.completions().total()));
-  mix(r.digest, cl.balancer().dispatched());
-  mix(r.digest, cl.balancer().rejected());
+  mix(r.digest, cl.sharded_balancer()->dispatched());
+  mix(r.digest, cl.sharded_balancer()->rejected());
   for (const auto d : cl.rejuvenation_durations()) {
     mix(r.digest, static_cast<std::uint64_t>(d));
   }

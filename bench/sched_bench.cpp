@@ -49,7 +49,9 @@ double seconds_since(Clock::time_point t0) {
 }
 
 // Sink the callback side effects so the optimizer cannot delete the events.
+// A plain volatile read then write: C++20 deprecates ++ and += on volatile.
 volatile std::uint64_t g_sink = 0;
+void sink(std::uint64_t v) { g_sink = g_sink + v; }
 
 struct Result {
   std::uint64_t events = 0;  // events fired per repetition
@@ -66,7 +68,7 @@ std::uint64_t run_hold(std::size_t n) {
   Queue q;
   sim::Rng rng(7);
   for (std::size_t i = 0; i < n; ++i) {
-    q.push(static_cast<sim::SimTime>(rng.next() % 1000000), [] { ++g_sink; });
+    q.push(static_cast<sim::SimTime>(rng.next() % 1000000), [] { sink(1); });
   }
   // Steady state: every fired event schedules a successor a random interval
   // ahead, holding the queue at exactly n events -- the pattern the
@@ -78,7 +80,7 @@ std::uint64_t run_hold(std::size_t n) {
     ev.fn();
     ++fired;
     q.push(ev.time + 1 + static_cast<sim::SimTime>(rng.next() % 1000000),
-           [] { ++g_sink; });
+           [] { sink(1); });
   }
   q.clear();
   return fired;
@@ -89,7 +91,7 @@ std::uint64_t run_push_pop_trivial(std::size_t n) {
   Queue q;
   sim::Rng rng(1);
   for (std::size_t i = 0; i < n; ++i) {
-    q.push(static_cast<sim::SimTime>(rng.next() % 1000000), [] { ++g_sink; });
+    q.push(static_cast<sim::SimTime>(rng.next() % 1000000), [] { sink(1); });
   }
   std::uint64_t fired = 0;
   while (!q.empty()) {
@@ -110,7 +112,7 @@ std::uint64_t run_push_pop_capture(std::size_t n) {
     // 40 bytes of capture: a pointer and four 64-bit values, the shape of
     // `[this, id, deadline, seq]`-style closures across src/.
     q.push(static_cast<sim::SimTime>(rng.next() % 1000000),
-           [p = sink_words[0], a, b, c, i] { g_sink += *p + a + b + c + i; });
+           [p = sink_words[0], a, b, c, i] { sink(*p + a + b + c + i); });
   }
   std::uint64_t fired = 0;
   while (!q.empty()) {
@@ -129,7 +131,7 @@ std::uint64_t run_cancel_heavy(std::size_t n) {
   ids.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ids.push_back(static_cast<std::uint64_t>(
-        q.push(static_cast<sim::SimTime>(rng.next() % 1000000), [] { ++g_sink; })));
+        q.push(static_cast<sim::SimTime>(rng.next() % 1000000), [] { sink(1); })));
   }
   for (std::size_t i = 0; i < n; i += 2) q.cancel(ids[i]);
   std::uint64_t fired = 0;
@@ -148,7 +150,7 @@ std::uint64_t run_same_time_burst(std::size_t n) {
   sim::SimTime t = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (i % kBurst == 0) t += 100;
-    q.push(t, [] { ++g_sink; });
+    q.push(t, [] { sink(1); });
   }
   std::uint64_t fired = 0;
   while (!q.empty()) {
@@ -185,7 +187,7 @@ std::uint64_t run_mixed_horizon(std::size_t n) {
           t = base + static_cast<sim::SimTime>((v >> 8) % 50000);
           break;
       }
-      q.push(t, [] { ++g_sink; });
+      q.push(t, [] { sink(1); });
     }
     const std::size_t pops = q.size() / 2;
     for (std::size_t i = 0; i < pops; ++i) {

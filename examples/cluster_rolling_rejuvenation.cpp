@@ -12,6 +12,7 @@
 #include <string>
 
 #include "cluster/cluster.hpp"
+#include "cluster/session_fleet.hpp"
 #include "cluster/throughput_model.hpp"
 #include "exp/runner.hpp"
 #include "obs/export.hpp"
@@ -33,7 +34,7 @@ exp::ReplicationResult replicated_run(const exp::ReplicationContext& ctx) {
   bool ready = false;
   cl.start([&ready] { ready = true; });
   while (!ready) sim.step();
-  cluster::ClusterClientFleet fleet(sim, cl.balancer(), {});
+  cluster::ClusterClientFleet fleet(sim, *cl.sharded_balancer(), {});
   fleet.start();
   sim.run_for(30 * sim::kSecond);
   const sim::SimTime t0 = sim.now();
@@ -49,7 +50,7 @@ exp::ReplicationResult replicated_run(const exp::ReplicationContext& ctx) {
   }
   exp::ReplicationResult out;
   out.values = {fleet.completions().rate_between(t0, t1), longest,
-                static_cast<double>(cl.balancer().rejected())};
+                static_cast<double>(cl.sharded_balancer()->rejected())};
   return out;
 }
 
@@ -99,9 +100,10 @@ int main(int argc, char** argv) {
   cl.start([&ready] { ready = true; });
   while (!ready) sim.step();
   std::printf("cluster up at t=%.1f s; %zu backends registered\n",
-              sim::to_seconds(sim.now()), cl.balancer().backend_count());
+              sim::to_seconds(sim.now()),
+              cl.sharded_balancer()->backend_count());
 
-  cluster::ClusterClientFleet fleet(sim, cl.balancer(), {});
+  cluster::ClusterClientFleet fleet(sim, *cl.sharded_balancer(), {});
   fleet.start();
   sim.run_for(30 * sim::kSecond);
   const sim::SimTime t0 = sim.now();
@@ -126,7 +128,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nrequests rejected by the balancer during the whole run: %llu "
               "(zero = no service downtime)\n",
-              static_cast<unsigned long long>(cl.balancer().rejected()));
+              static_cast<unsigned long long>(cl.sharded_balancer()->rejected()));
 
   // Compare with the paper's analytic Fig. 9 expectation.
   cluster::ClusterThroughputParams p;

@@ -12,7 +12,9 @@
 namespace rh::cluster {
 
 Cluster::Cluster(sim::Simulation& sim, Config config)
-    : sim_(sim), config_(config) {
+    : sim_(sim),
+      config_(config),
+      balancer_(static_cast<std::size_t>(std::max(config.shards, 1))) {
   ensure(config_.hosts >= 1, "Cluster: need at least one host");
   ensure(config_.vms_per_host >= 1, "Cluster: need at least one VM per host");
   ensure(config_.shards >= 0, "Cluster: negative shard count");
@@ -26,7 +28,10 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
     // Every host reaches the control plane over its calibrated link; the
     // minimum of those latencies is the engine's lookahead.
     config_.engine->register_link(config_.calib.link.latency);
-    balancer_.bind_parallel(*config_.engine, /*self_partition=*/0,
+    // A lone shard (shards = 0) shares the control partition; otherwise
+    // shard s gets partition 1 + s.
+    const std::int32_t first_shard_partition = config_.shards > 0 ? 1 : 0;
+    balancer_.bind_parallel(*config_.engine, first_shard_partition,
                             config_.calib.link.latency);
   }
   // Waves launch several drivers/supervisors concurrently, so per-host
@@ -35,17 +40,7 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
   host_supervisors_.resize(static_cast<std::size_t>(config_.hosts));
   steady_slots_.resize(static_cast<std::size_t>(config_.hosts));
   crash_down_.assign(static_cast<std::size_t>(config_.hosts), 0);
-  crash_evicted_.assign(static_cast<std::size_t>(config_.hosts), 0);
-  admin_evicted_.assign(static_cast<std::size_t>(config_.hosts), 0);
   recently_recovered_.assign(static_cast<std::size_t>(config_.hosts), 0);
-  if (config_.shards > 0) {
-    sharded_ =
-        std::make_unique<ShardedBalancer>(static_cast<std::size_t>(config_.shards));
-    if (config_.engine != nullptr) {
-      sharded_->bind_parallel(*config_.engine, /*first_shard_partition=*/1,
-                              config_.calib.link.latency);
-    }
-  }
   for (int h = 0; h < config_.hosts; ++h) {
     sim::Simulation& host_sim = config_.engine != nullptr
                                     ? config_.engine->partition(partition_of(h))
@@ -72,19 +67,16 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
       for (int f = 0; f < config_.files_per_vm; ++f) {
         g->vfs().create_file("doc" + std::to_string(f), config_.file_size);
       }
-      if (sharded_ != nullptr) {
-        // The sharded balancer probes reachability live (a request to a
-        // still-booting VM fails and the session retries), so backends
-        // register at construction instead of boot completion.
-        auto* apache =
-            static_cast<guest::ApacheService*>(g->find_service("httpd"));
-        std::vector<std::int64_t> files;
-        for (int f = 0; f < config_.files_per_vm; ++f) files.push_back(f);
-        sharded_->add_backend({g.get(), apache, std::move(files),
-                               static_cast<std::size_t>(h),
-                               config_.engine != nullptr ? partition_of(h)
-                                                         : -1});
-      }
+      // The balancer probes reachability live (a request to a
+      // still-booting VM is skipped or fails and the client retries), so
+      // backends register at construction, in host-major order.
+      auto* apache =
+          static_cast<guest::ApacheService*>(g->find_service("httpd"));
+      std::vector<std::int64_t> files;
+      for (int f = 0; f < config_.files_per_vm; ++f) files.push_back(f);
+      balancer_.add_backend({g.get(), apache, std::move(files),
+                             static_cast<std::size_t>(h),
+                             config_.engine != nullptr ? partition_of(h) : -1});
       guests_.back().push_back(std::move(g));
     }
   }
@@ -116,41 +108,24 @@ void Cluster::start(std::function<void()> on_ready) {
       std::make_shared<std::size_t>(static_cast<std::size_t>(config_.hosts) *
                                     static_cast<std::size_t>(config_.vms_per_host));
   auto shared_ready = std::make_shared<std::function<void()>>(std::move(on_ready));
+  const auto count_down = [remaining, shared_ready] {
+    if (--*remaining == 0) (*shared_ready)();
+  };
   for (int h = 0; h < config_.hosts; ++h) {
     hosts_[static_cast<std::size_t>(h)]->instant_start();
     for (auto& g : guests_[static_cast<std::size_t>(h)]) {
-      guest::GuestOs* os = g.get();
-      os->create_and_boot([this, os, remaining, shared_ready] {
+      g->create_and_boot([this, count_down] {
         if (config_.engine != nullptr) {
-          // Boot completion fires on the host's partition; registration
-          // mutates balancer state, so it crosses to the control plane
-          // through the mailboxes (merge order makes it deterministic).
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, os, remaining, shared_ready] {
-            register_backend(os, remaining, shared_ready);
-          });
+          // Boot completion fires on the host's partition; the countdown
+          // is control-plane state, so it crosses to partition 0 through
+          // the mailboxes (merge order makes it deterministic).
+          config_.engine->post(0, config_.calib.link.latency, count_down);
           return;
         }
-        register_backend(os, remaining, shared_ready);
+        count_down();
       });
     }
   }
-}
-
-void Cluster::register_backend(
-    guest::GuestOs* os, const std::shared_ptr<std::size_t>& remaining,
-    const std::shared_ptr<std::function<void()>>& ready) {
-  auto* apache = static_cast<guest::ApacheService*>(os->find_service("httpd"));
-  std::vector<std::int64_t> files;
-  for (std::size_t f = 0; f < os->vfs().file_count(); ++f) {
-    files.push_back(static_cast<std::int64_t>(f));
-  }
-  std::int32_t partition = -1;
-  if (config_.engine != nullptr) {
-    partition = os->host().sim().partition_id();
-  }
-  balancer_.add_backend({os, apache, std::move(files), partition});
-  if (--*remaining == 0) (*ready)();
 }
 
 void Cluster::rolling_rejuvenation(rejuv::RebootKind kind,
@@ -284,14 +259,14 @@ void Cluster::supervise_from(std::size_t host_index,
     if (!report.success) {
       // The ladder exhausted on this host: take its backends out of
       // rotation and queue it for an end-of-pass retry. The pass goes on.
-      set_host_out_of_rotation(host_index, true);
+      balancer_.set_host_evicted(host_index, true);
       rolling_report_.evicted_hosts.push_back(host_index);
       retry_queue_.push_back(host_index);
     } else if (report.pressure.pressured) {
       // The host came back, but only by shedding preserved memory: its
       // admission controller had to reclaim or demote. Drain load away
       // from it rather than feeding the overcommit.
-      set_host_backpressured(host_index, true);
+      balancer_.set_host_pressured(host_index, true);
       rolling_report_.pressured_hosts.push_back(host_index);
     }
     supervise_from(host_index + 1, std::move(on_done));
@@ -328,11 +303,11 @@ void Cluster::supervise_remote(std::size_t host_index,
             rolling_report_.passes.push_back(report);
             durations_.push_back(report.total_duration());
             if (!report.success) {
-              set_host_out_of_rotation(host_index, true);
+              balancer_.set_host_evicted(host_index, true);
               rolling_report_.evicted_hosts.push_back(host_index);
               retry_queue_.push_back(host_index);
             } else if (report.pressure.pressured) {
-              set_host_backpressured(host_index, true);
+              balancer_.set_host_pressured(host_index, true);
               rolling_report_.pressured_hosts.push_back(host_index);
             }
             supervise_from(host_index + 1, std::move(on_done));
@@ -363,7 +338,7 @@ void Cluster::retry_evicted(std::size_t queue_index, int attempt,
             const rejuv::SupervisorReport& report) mutable {
           rolling_report_.passes.push_back(report);
           if (report.success) {
-            set_host_out_of_rotation(host_index, false);
+            balancer_.set_host_evicted(host_index, false);
             rolling_report_.recovered_hosts.push_back(host_index);
             retry_evicted(queue_index + 1, 0, std::move(on_done));
           } else if (attempt < supervision_.max_host_retries) {
@@ -396,7 +371,7 @@ void Cluster::recover_remote(std::size_t queue_index, int attempt,
                on_done = std::move(on_done)]() mutable {
                 rolling_report_.passes.push_back(report);
                 if (report.success) {
-                  set_host_out_of_rotation(host_index, false);
+                  balancer_.set_host_evicted(host_index, false);
                   rolling_report_.recovered_hosts.push_back(host_index);
                   retry_evicted(queue_index + 1, 0, std::move(on_done));
                 } else if (attempt < supervision_.max_host_retries) {
@@ -415,22 +390,6 @@ void Cluster::finish_rolling(std::function<void(const RollingReport&)> on_done) 
   retry_queue_.clear();
   rolling_in_progress_ = false;
   on_done(rolling_report_);
-}
-
-void Cluster::set_host_out_of_rotation(std::size_t host_index, bool evicted) {
-  admin_evicted_[host_index] = evicted ? 1 : 0;
-  // The single balancer has one membership flag, so administrative and
-  // crash eviction compose by OR; the sharded balancer keeps them apart.
-  balancer_.set_host_evicted(hosts_[host_index].get(),
-                             evicted || crash_evicted_[host_index] != 0);
-  if (sharded_ != nullptr) sharded_->set_host_evicted(host_index, evicted);
-}
-
-void Cluster::apply_crash_rotation(std::size_t host_index, bool crashed) {
-  crash_evicted_[host_index] = crashed ? 1 : 0;
-  balancer_.set_host_evicted(hosts_[host_index].get(),
-                             crashed || admin_evicted_[host_index] != 0);
-  if (sharded_ != nullptr) sharded_->set_host_crashed(host_index, crashed);
 }
 
 void Cluster::to_control(std::function<void()> fn) {
@@ -543,7 +502,7 @@ void Cluster::on_unplanned_down(std::size_t host_index) {
   if (scraper_ != nullptr) scraper_->note_host_down(host_index);
   // Crash-evict: federated spillover absorbs the outage like a planned
   // wave; the readmit rides the recovery outcome.
-  apply_crash_rotation(host_index, true);
+  balancer_.set_host_crashed(host_index, true);
 }
 
 void Cluster::on_unplanned_outcome(std::size_t host_index, bool success,
@@ -553,7 +512,7 @@ void Cluster::on_unplanned_outcome(std::size_t host_index, bool success,
   if (success) {
     ++unplanned_.recoveries;
     if (micro) ++unplanned_.micro_recoveries;
-    apply_crash_rotation(host_index, false);
+    balancer_.set_host_crashed(host_index, false);
     recently_recovered_[host_index] = 1;
     if (scraper_ != nullptr) scraper_->note_host_up(host_index);
   } else {
@@ -573,13 +532,8 @@ void Cluster::on_unplanned_outcome(std::size_t host_index, bool success,
   wave_kick();
 }
 
-void Cluster::set_host_backpressured(std::size_t host_index, bool pressured) {
-  balancer_.set_host_pressured(hosts_[host_index].get(), pressured);
-  if (sharded_ != nullptr) sharded_->set_host_pressured(host_index, pressured);
-}
-
 std::pair<std::uint64_t, std::int64_t> Cluster::host_signals(
-    std::size_t host_index) {
+    std::size_t host_index, bool mirror) {
   vmm::Host& h = *hosts_[host_index];
   std::uint64_t load = 0;
   for (auto& g : guests_[host_index]) {
@@ -593,9 +547,10 @@ std::pair<std::uint64_t, std::int64_t> Cluster::host_signals(
   const std::int64_t headroom =
       budget == 0 ? std::numeric_limits<std::int64_t>::max()
                   : budget - h.preserved().reserved_frames();
-  if (h.obs().enabled()) {
-    h.obs().metrics().gauge("host.load") = static_cast<double>(load);
-    h.obs().metrics().gauge("host.preserved_headroom") =
+  if (mirror) {
+    auto& m = h.obs().metrics();
+    m.gauge("host.load") = static_cast<double>(load);
+    m.gauge("host.preserved_headroom") =
         headroom == std::numeric_limits<std::int64_t>::max()
             ? std::numeric_limits<double>::infinity()
             : static_cast<double>(headroom);
@@ -603,30 +558,13 @@ std::pair<std::uint64_t, std::int64_t> Cluster::host_signals(
   return {load, headroom};
 }
 
-// Exporter collect hook, on the host's partition. Same signal math as
-// host_signals, but writes the registry unconditionally: scraping may run
-// with Config::observe off, where host_signals would skip the mirror, and
-// the scraped samples ARE the control plane's only view of the host.
+// Exporter collect hook, on the host's partition. Mirrors the signals
+// unconditionally: scraping may run with Config::observe off, and the
+// scraped samples ARE the control plane's only view of the host.
 void Cluster::collect_host_metrics(std::size_t host_index) {
-  vmm::Host& h = *hosts_[host_index];
-  std::uint64_t load = 0;
-  for (auto& g : guests_[host_index]) {
-    auto* apache =
-        static_cast<guest::ApacheService*>(g->find_service("httpd"));
-    if (apache != nullptr) load += apache->requests_served();
-  }
-  const std::int64_t budget = h.preserved().frame_budget();
-  const std::int64_t headroom =
-      budget == 0 ? std::numeric_limits<std::int64_t>::max()
-                  : budget - h.preserved().reserved_frames();
-  auto& m = h.obs().metrics();
-  m.gauge("host.load") = static_cast<double>(load);
-  m.gauge("host.preserved_headroom") =
-      headroom == std::numeric_limits<std::int64_t>::max()
-          ? std::numeric_limits<double>::infinity()
-          : static_cast<double>(headroom);
-  m.counter("host.vmm_generation") =
-      static_cast<std::uint64_t>(h.vmm_generation());
+  (void)host_signals(host_index, /*mirror=*/true);
+  hosts_[host_index]->obs().metrics().counter("host.vmm_generation") =
+      static_cast<std::uint64_t>(hosts_[host_index]->vmm_generation());
 }
 
 void Cluster::start_scraping(const ScrapeConfig& config) {
@@ -703,13 +641,15 @@ void Cluster::wave_gather() {
   for (std::size_t h = 0; h < hosts_.size(); ++h) {
     if (wave_->scheduled[h] != 0) continue;
     if (config_.engine == nullptr) {
-      const auto [load, headroom] = host_signals(h);
+      const auto [load, headroom] =
+          host_signals(h, hosts_[h]->obs().enabled());
       wave_collect(h, load, headroom);
       continue;
     }
     config_.engine->post(partition_of(static_cast<int>(h)),
                          config_.calib.link.latency, [this, h] {
-      const auto [load, headroom] = host_signals(h);
+      const auto [load, headroom] =
+          host_signals(h, hosts_[h]->obs().enabled());
       config_.engine->post(0, config_.calib.link.latency,
                            [this, h, load, headroom] {
         wave_collect(h, load, headroom);
@@ -886,7 +826,7 @@ void Cluster::wave_host_done(std::size_t host_index,
   if (!report.success) {
     // The ladder exhausted mid-wave: take the host's backends out of
     // rotation. Waves have no retry queue; the eviction is the outcome.
-    set_host_out_of_rotation(host_index, true);
+    balancer_.set_host_evicted(host_index, true);
     wave_report_.unrecovered_hosts.push_back(host_index);
   } else if (report.completed != report.attempted) {
     wave_report_.degraded_hosts.push_back(host_index);

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/load_balancer.hpp"
 #include "cluster/sharded_balancer.hpp"
 #include "fault/fault.hpp"
 #include "obs/slo.hpp"
@@ -45,24 +44,23 @@ class Cluster {
     bool observe = false;
     /// Conservative parallel-in-run engine (DESIGN.md §11), non-owning.
     /// When set it must have exactly 1 + shards + hosts partitions:
-    /// partition 0 is the control plane (balancer + client fleet +
-    /// rolling-pass control, driven by the engine's partition(0)
-    /// Simulation, which must be the `sim` passed to the constructor),
-    /// balancer shard s lives on partition 1 + s, and host h lives on
-    /// partition 1 + shards + h. All cross-host interaction then flows
-    /// through the engine's mailboxes; results are bitwise identical for
-    /// any worker count, but not byte-identical to the null-engine fast
-    /// path (balancer RPCs gain real link latency). Null (default):
-    /// today's single-calendar behaviour, byte-identical to historical
-    /// runs.
+    /// partition 0 is the control plane (client fleet + rolling-pass
+    /// control, driven by the engine's partition(0) Simulation, which
+    /// must be the `sim` passed to the constructor), balancer shard s
+    /// lives on partition 1 + s (the lone shard of shards = 0 shares
+    /// partition 0), and host h lives on partition 1 + shards + h. All
+    /// cross-host interaction then flows through the engine's mailboxes;
+    /// results are bitwise identical for any worker count, but not
+    /// byte-identical to the null-engine fast path (balancer RPCs gain
+    /// real link latency). Null (default): one calendar for everything.
     sim::ParallelSimulation* engine = nullptr;
-    /// Balancer shards (DESIGN.md §12). 0 (default): the single
-    /// LoadBalancer only, byte-identical to historical runs. > 0: a
-    /// ShardedBalancer is built alongside it, every VM pre-registered
-    /// with its host's shard (host h's backends belong to shard
-    /// h % shards); under the engine each shard gets its own partition
-    /// so dispatch is parallel-in-run. Eviction/pressure decisions from
-    /// supervised rolling passes propagate to both balancers.
+    /// Balancer shards (DESIGN.md §12). The cluster runs one
+    /// ShardedBalancer with max(shards, 1) shards; every VM registers at
+    /// construction with its host's shard (host h's backends belong to
+    /// shard h % shards). 0 (default): one shard, which under the engine
+    /// lives on the control partition -- the paper's single balancer.
+    /// > 0: under the engine each shard gets its own partition so
+    /// dispatch is parallel-in-run.
     int shards = 0;
   };
 
@@ -91,7 +89,7 @@ class Cluster {
     /// Hosts whose pass succeeded but whose admission controller reported
     /// preserved-memory pressure (demand over budget). They stay in
     /// service as a last resort, but the balancer stops preferring them
-    /// (LoadBalancer::set_host_pressured) -- backpressure instead of
+    /// (ShardedBalancer::set_host_pressured) -- backpressure instead of
     /// deepening the overcommit.
     std::vector<std::size_t> pressured_hosts;
     [[nodiscard]] bool fully_recovered() const { return failed_hosts.empty(); }
@@ -103,10 +101,10 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Starts every host instantly, then creates and boots all VMs (taking
-  /// simulated time); registers each VM's web server with the balancer.
-  /// `on_ready` fires when every backend answers. Call while the engine
-  /// (if any) is quiescent, then drive the engine: on_ready fires on the
-  /// control partition once the boot events have run.
+  /// simulated time). `on_ready` fires when every backend answers. Call
+  /// while the engine (if any) is quiescent, then drive the engine:
+  /// on_ready fires on the control partition once the boot events have
+  /// run.
   void start(std::function<void()> on_ready);
 
   /// Partition carrying host `i` under the parallel engine
@@ -119,9 +117,8 @@ class Cluster {
   [[nodiscard]] vmm::Host& host(int i);
   [[nodiscard]] guest::GuestOs& guest(int host, int vm);
   [[nodiscard]] std::vector<guest::GuestOs*> guests_of(int host);
-  [[nodiscard]] LoadBalancer& balancer() { return balancer_; }
-  /// The sharded control plane; null unless Config::shards > 0.
-  [[nodiscard]] ShardedBalancer* sharded_balancer() { return sharded_.get(); }
+  /// The cluster's balancer; never null.
+  [[nodiscard]] ShardedBalancer* sharded_balancer() { return &balancer_; }
 
   /// Rejuvenates every host's VMM in turn (never two at once), using the
   /// given reboot strategy. `on_done` fires after the last host is back.
@@ -168,7 +165,7 @@ class Cluster {
     /// the full degradation ladder incl. micro-recovery). `kind` above
     /// overrides `supervisor.preferred`, so historical call sites keep
     /// their meaning.
-    rejuv::SupervisorConfig supervisor;
+    rejuv::SupervisorConfig supervisor{};
     /// Signal source for the wave ordering (DESIGN.md §15).
     WaveSignalSource signals = WaveSignalSource::kWireTap;
   };
@@ -227,7 +224,8 @@ class Cluster {
   /// failure is answered by a fresh supervised ladder (or absorbed when a
   /// planned wave turn already owns the host), and outcomes are notified
   /// to the control plane over the mailboxes -- crash-evicting/readmitting
-  /// the host's backends on every balancer and steering wave admission.
+  /// the host's backends on every balancer shard and steering wave
+  /// admission.
   /// With both steady rates zero nothing is scheduled and no RNG is drawn,
   /// so fault-free runs stay digest-identical. Call while the engine (if
   /// any) is quiescent.
@@ -260,7 +258,7 @@ class Cluster {
     /// (completed != attempted: a mid-wave ladder descent).
     std::vector<std::size_t> degraded_hosts;
     /// Hosts whose ladder exhausted with VMs unrecovered; evicted from
-    /// every balancer (waves have no end-of-pass retry queue). With steady
+    /// the balancer (waves have no end-of-pass retry queue). With steady
     /// faults armed this also lists hosts an *unplanned* ladder lost while
     /// they were still pending -- the pass skips them instead of running a
     /// turn on a dead host.
@@ -285,7 +283,7 @@ class Cluster {
   /// host's turn runs under a rejuv::Supervisor, so a mid-wave fault walks
   /// the degradation ladder (micro-recovery, warm->saved->cold) instead of
   /// aborting the pass; outcomes land in the WaveReport and a host left
-  /// unrecovered is evicted from every balancer. Before
+  /// unrecovered is evicted from the balancer. Before
   /// each wave the scheduler gathers live signals from every pending host
   /// -- served-request load and preserved-budget headroom, mirrored into
   /// the host's MetricsRegistry when observability is on -- and
@@ -320,9 +318,6 @@ class Cluster {
  private:
   friend class MetricsScraper;
 
-  void register_backend(guest::GuestOs* os,
-                        const std::shared_ptr<std::size_t>& remaining,
-                        const std::shared_ptr<std::function<void()>>& ready);
   void rejuvenate_from(std::size_t host_index, rejuv::RebootKind kind,
                        std::function<void()> on_done);
   /// Partitioned rolling turn: hops to the host's partition, runs the
@@ -341,27 +336,18 @@ class Cluster {
                      std::function<void(const RollingReport&)> on_done);
   void finish_rolling(std::function<void(const RollingReport&)> on_done);
   [[nodiscard]] sim::Duration host_retry_backoff(int attempt) const;
-  /// Applies an administrative eviction / pressure decision to every
-  /// balancer the cluster runs (the single LoadBalancer and, when
-  /// sharded, every shard's membership view).
-  void set_host_out_of_rotation(std::size_t host_index, bool evicted);
-  void set_host_backpressured(std::size_t host_index, bool pressured);
   /// (served-request load, preserved-budget headroom) for one host; runs
-  /// on the host's partition under the engine and mirrors the signals
-  /// into the host's MetricsRegistry when observability is on.
+  /// on the host's partition under the engine. With `mirror` the signals
+  /// are also written into the host's MetricsRegistry.
   [[nodiscard]] std::pair<std::uint64_t, std::int64_t> host_signals(
-      std::size_t host_index);
-  /// Exporter-side collection hook: recomputes the wave signals (and a
-  /// few host facts) into the host's MetricsRegistry unconditionally --
-  /// scraping may run with Config::observe off, where host_signals()
-  /// would skip the mirror. Runs on the host's partition.
+      std::size_t host_index, bool mirror);
+  /// Exporter-side collection hook: the wave signals (mirrored even with
+  /// Config::observe off) plus the VMM generation, into the host's
+  /// MetricsRegistry. Runs on the host's partition.
   void collect_host_metrics(std::size_t host_index);
   /// The scraper's SLO gate (control partition): while blocked,
   /// wave_launch admits nothing; clearing the block kicks a paused pass.
   void set_scrape_admission_blocked(bool blocked);
-  /// Crash-evict/readmit: unplanned membership changes compose with
-  /// administrative evictions instead of overwriting them.
-  void apply_crash_rotation(std::size_t host_index, bool crashed);
   /// Host-partition handler for one steady fault arrival.
   void steady_fault(std::size_t host_index, fault::FaultKind kind);
   /// Control-partition notifications from the per-host recovery drivers.
@@ -387,8 +373,7 @@ class Cluster {
   Config config_;
   std::vector<std::unique_ptr<vmm::Host>> hosts_;
   std::vector<std::vector<std::unique_ptr<guest::GuestOs>>> guests_;
-  LoadBalancer balancer_;
-  std::unique_ptr<ShardedBalancer> sharded_;
+  ShardedBalancer balancer_;
   std::unique_ptr<rejuv::RebootDriver> active_driver_;
   std::unique_ptr<rejuv::Supervisor> active_supervisor_;
   /// Partitioned mode: per-host driver/supervisor slots, created and
@@ -428,9 +413,7 @@ class Cluster {
   bool steady_started_ = false;
   /// Control-plane crash state (all mutated on partition 0 only).
   UnplannedReport unplanned_;
-  std::vector<std::uint8_t> crash_down_;       ///< unplanned ladder in flight
-  std::vector<std::uint8_t> crash_evicted_;    ///< crash-evicted from rotation
-  std::vector<std::uint8_t> admin_evicted_;    ///< planned/ladder eviction
+  std::vector<std::uint8_t> crash_down_;  ///< unplanned ladder in flight
   /// Hosts that just micro-recovered; deprioritised in the next wave sort
   /// (cleared once the pass schedules them).
   std::vector<std::uint8_t> recently_recovered_;

@@ -35,7 +35,7 @@ std::string json_escape(std::string_view s) {
 // JSON number: finite doubles bare, inf/nan quoted (JSON has no literal
 // for them; fmt_double spells them "inf"/"-inf"/"nan").
 std::string json_number(double v) {
-  return std::isfinite(v) ? obs::fmt_double(v) : "\"" + obs::fmt_double(v) + "\"";
+  return std::isfinite(v) ? obs::fmt_double(v) : '"' + obs::fmt_double(v) + '"';
 }
 
 }  // namespace

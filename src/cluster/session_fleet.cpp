@@ -230,4 +230,33 @@ std::uint64_t SessionFleet::state_digest() const {
   return h;
 }
 
+ClusterClientFleet::ClusterClientFleet(sim::Simulation& sim,
+                                       ShardedBalancer& balancer, Config config)
+    : sim_(sim), balancer_(balancer), config_(config) {
+  ensure(config.connections > 0, "ClusterClientFleet: need connections");
+}
+
+void ClusterClientFleet::start() {
+  ensure(!started_, "ClusterClientFleet::start: already started");
+  started_ = true;
+  for (int c = 0; c < config_.connections; ++c) issue(c);
+}
+
+void ClusterClientFleet::stop() { stopped_ = true; }
+
+void ClusterClientFleet::issue(int connection) {
+  if (stopped_) return;
+  balancer_.dispatch(static_cast<std::uint64_t>(connection),
+                     [this, connection](bool served) {
+    if (stopped_) return;
+    if (served) {
+      completions_.record(sim_.now());
+      issue(connection);
+    } else {
+      sim_.after(config_.retry_interval,
+                 [this, connection] { issue(connection); });
+    }
+  });
+}
+
 }  // namespace rh::cluster

@@ -1,7 +1,8 @@
-// Batched closed-loop session store for the datacenter-scale fig9 run.
+// Closed-loop client fleets driving the cluster through its balancer.
 //
-// ClusterClientFleet keeps one heap-allocated callback chain alive per
-// connection, which tops out around thousands of sessions. SessionFleet
+// ClusterClientFleet is the paper-scale fleet behind Fig. 9: a handful of
+// connections, each keeping one heap-allocated callback chain alive,
+// which tops out around thousands of sessions. SessionFleet
 // holds a million-session closed loop as struct-of-arrays: per shard, a
 // flat slice of (next_due, issued_at, down_since, downtime, counters)
 // columns, walked once per tick by a single batched scan that issues
@@ -21,6 +22,7 @@
 #include "cluster/sharded_balancer.hpp"
 #include "simcore/histogram.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/time_series.hpp"
 
 namespace rh::cluster {
 
@@ -121,6 +123,38 @@ class SessionFleet {
   Config config_;
   std::vector<Slice> slices_;
   sim::SimTime window_start_ = 0;
+  bool started_ = false;
+  bool stopped_ = false;
+};
+
+/// Closed-loop client fleet driving the whole cluster through the
+/// balancer; completions feed the Fig. 9-style throughput timeline.
+/// Connection c dispatches with session key c. Under the engine, run it
+/// on `sim`'s partition (start it with ParallelSimulation::run_on).
+class ClusterClientFleet {
+ public:
+  struct Config {
+    int connections = 16;
+    sim::Duration retry_interval = 500 * sim::kMillisecond;
+  };
+
+  ClusterClientFleet(sim::Simulation& sim, ShardedBalancer& balancer,
+                     Config config);
+  ClusterClientFleet(const ClusterClientFleet&) = delete;
+  ClusterClientFleet& operator=(const ClusterClientFleet&) = delete;
+
+  void start();
+  void stop();
+
+  [[nodiscard]] const sim::RateRecorder& completions() const { return completions_; }
+
+ private:
+  void issue(int connection);
+
+  sim::Simulation& sim_;
+  ShardedBalancer& balancer_;
+  Config config_;
+  sim::RateRecorder completions_;
   bool started_ = false;
   bool stopped_ = false;
 };

@@ -54,55 +54,48 @@ void ShardedBalancer::bind_parallel(sim::ParallelSimulation& engine,
   rpc_latency_ = rpc_latency;
 }
 
-void ShardedBalancer::set_host_evicted(std::size_t host_index, bool evicted) {
-  if (quiescent()) {
-    for (std::size_t b = 0; b < backends_.size(); ++b) {
-      if (backends_[b].host_index != host_index) continue;
-      for (auto& sh : shards_) sh.evicted[b] = evicted ? 1 : 0;
-    }
-    return;
-  }
-  // Mid-run: each shard's view is partition-local state, so the change is
-  // broadcast through the mailboxes and applied shard-side.
+// Membership views are partition-local state. A shard on the calling
+// partition (or any shard while the engine is quiescent) is updated in
+// place; the others get the change through the mailboxes, one RPC latency
+// later (deterministically, like any other message).
+template <typename Apply>
+void ShardedBalancer::update_views(Apply apply) {
+  const std::int32_t caller = quiescent() ? -1 : sim::current_partition();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (caller < 0 || shard_partition(s) == caller) {
+      apply(shards_[s]);
+      continue;
+    }
     engine_->post(shard_partition(s), rpc_latency_,
-                  [this, s, host_index, evicted] {
-      Shard& sh = shards_[s];
-      for (std::size_t b = 0; b < backends_.size(); ++b) {
-        if (backends_[b].host_index == host_index) {
-          sh.evicted[b] = evicted ? 1 : 0;
-        }
-      }
-    });
+                  [this, s, apply] { apply(shards_[s]); });
   }
+}
+
+void ShardedBalancer::set_host_evicted(std::size_t host_index, bool evicted) {
+  update_views([this, host_index, evicted](Shard& sh) {
+    for (std::size_t b = 0; b < backends_.size(); ++b) {
+      if (backends_[b].host_index == host_index) {
+        sh.evicted[b] = evicted ? 1 : 0;
+      }
+    }
+  });
 }
 
 void ShardedBalancer::set_host_pressured(std::size_t host_index,
                                          bool pressured) {
-  if (quiescent()) {
+  update_views([this, host_index, pressured](Shard& sh) {
     for (std::size_t b = 0; b < backends_.size(); ++b) {
-      if (backends_[b].host_index != host_index) continue;
-      for (auto& sh : shards_) sh.pressured[b] = pressured ? 1 : 0;
-    }
-    return;
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    engine_->post(shard_partition(s), rpc_latency_,
-                  [this, s, host_index, pressured] {
-      Shard& sh = shards_[s];
-      for (std::size_t b = 0; b < backends_.size(); ++b) {
-        if (backends_[b].host_index == host_index) {
-          sh.pressured[b] = pressured ? 1 : 0;
-        }
+      if (backends_[b].host_index == host_index) {
+        sh.pressured[b] = pressured ? 1 : 0;
       }
-    });
-  }
+    }
+  });
 }
 
 void ShardedBalancer::set_host_crashed(std::size_t host_index, bool crashed) {
-  // Shard-side application; tracks whether the host's membership actually
-  // flipped so crashed_hosts stays balanced under repeated broadcasts.
-  auto apply = [this, host_index, crashed](Shard& sh) {
+  // Tracks whether the host's membership actually flipped so
+  // crashed_hosts stays balanced under repeated broadcasts.
+  update_views([this, host_index, crashed](Shard& sh) {
     const std::uint8_t want = crashed ? 1 : 0;
     bool changed = false;
     for (std::size_t b = 0; b < backends_.size(); ++b) {
@@ -116,15 +109,7 @@ void ShardedBalancer::set_host_crashed(std::size_t host_index, bool crashed) {
       sh.crashed_hosts += crashed ? 1u : -1u;
       ++sh.crash_events;
     }
-  };
-  if (quiescent()) {
-    for (auto& sh : shards_) apply(sh);
-    return;
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    engine_->post(shard_partition(s), rpc_latency_,
-                  [this, s, apply] { apply(shards_[s]); });
-  }
+  });
 }
 
 void ShardedBalancer::dispatch(std::uint64_t key,
@@ -318,6 +303,12 @@ std::uint64_t ShardedBalancer::federated() const {
 std::size_t ShardedBalancer::evicted_backends() const {
   std::size_t n = 0;
   for (const auto e : shards_.front().evicted) n += e != 0 ? 1 : 0;
+  return n;
+}
+
+std::size_t ShardedBalancer::pressured_backends() const {
+  std::size_t n = 0;
+  for (const auto p : shards_.front().pressured) n += p != 0 ? 1 : 0;
   return n;
 }
 

@@ -1,21 +1,21 @@
-// Sharded, federated request dispatch for the datacenter-scale fig9 run.
+// Sharded, federated request dispatch: the cluster's load balancer.
 //
-// One LoadBalancer is a scaling bottleneck past tens of hosts: every
-// dispatch serialises through a single round-robin cursor on the control
-// partition. The ShardedBalancer partitions the session space by
-// session-key hash across N shards. Each shard owns a disjoint subset of
-// the backends (host h's VMs belong to shard h % N), keeps its own
-// round-robin cursor and per-backend file cursors, and -- under the
-// parallel engine -- lives on its own event partition so dispatch is
-// parallel-in-run (DESIGN.md §12).
+// One round-robin cursor is a scaling bottleneck past tens of hosts:
+// every dispatch would serialise through it. The ShardedBalancer
+// partitions the session space by session-key hash across N shards.
+// Each shard owns a disjoint subset of the backends (host h's VMs belong
+// to shard h % N), keeps its own round-robin cursor and per-backend file
+// cursors, and -- under the parallel engine -- lives on its own event
+// partition so dispatch is parallel-in-run (DESIGN.md §12). With one
+// shard it is the paper's single balancer (Section 6): round-robin over
+// the reachable backends, skipping hosts while their VMM reboots.
 //
 // Federation: when a shard's own backends are all evicted, pressured or
 // unreachable, the request spills over to the next shard in ring order,
 // first refusing pressured backends everywhere, then (second lap)
-// accepting them as a last resort -- the same two-phase policy as the
-// single LoadBalancer, lifted to the ring. Ring order from the home
-// shard is a pure function of the session key, so failover is
-// deterministic and bitwise identical for any worker count.
+// accepting them as a last resort. Ring order from the home shard is a
+// pure function of the session key, so failover is deterministic and
+// bitwise identical for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +76,10 @@ class ShardedBalancer {
 
   /// Administratively removes (or restores) every backend on `host_index`
   /// from rotation, on every shard's membership view. Quiescent callers
-  /// update the views directly; while the engine runs, the change is
-  /// broadcast through the mailboxes and lands on all shards one RPC
-  /// latency later (deterministically, like any other message).
+  /// update the views directly; while the engine runs, a shard on the
+  /// calling partition is updated in place and every other shard gets the
+  /// change through the mailboxes one RPC latency later
+  /// (deterministically, like any other message).
   void set_host_evicted(std::size_t host_index, bool evicted);
   /// Same broadcast for the memory-pressure flag: a pressured host stays
   /// in service but only receives requests when nothing unpressured
@@ -119,6 +120,8 @@ class ShardedBalancer {
   }
   /// Backends evicted on shard 0's view (all views agree when quiescent).
   [[nodiscard]] std::size_t evicted_backends() const;
+  /// Backends pressured on shard 0's view. Quiescent reads only.
+  [[nodiscard]] std::size_t pressured_backends() const;
   /// Backends crash-evicted on shard 0's view. Quiescent reads only.
   [[nodiscard]] std::size_t crashed_backends() const;
   /// Hosts this shard's view currently knows to be crash-down. Safe to
@@ -165,6 +168,8 @@ class ShardedBalancer {
     bool allow_pressured = false;    ///< second-lap last-resort flag
   };
 
+  template <typename Apply>
+  void update_views(Apply apply);
   void start_on(std::size_t shard, std::function<void(bool)> done);
   void try_shard(std::shared_ptr<Request> state);
   void probe_reply(bool up, std::uint32_t b, std::shared_ptr<Request> state);

@@ -123,7 +123,7 @@ void write_metrics_json(std::ostream& os, const MetricsRegistry& m) {
   // hold infinity (e.g. unlimited-budget headroom), so those render as
   // quoted strings rather than producing invalid JSON.
   const auto json_number = [](double v) {
-    return std::isfinite(v) ? fmt_double(v) : "\"" + fmt_double(v) + "\"";
+    return std::isfinite(v) ? fmt_double(v) : '"' + fmt_double(v) + '"';
   };
   for (const auto& e : m.gauges()) {
     os << (first ? "" : ",") << "\n    \"" << json_escape(e.name)

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "cluster/session_fleet.hpp"
 #include "cluster/throughput_model.hpp"
 #include "test_util.hpp"
 
@@ -72,12 +73,36 @@ struct ClusterRig {
     while (!ready && sim.pending_events() > 0) sim.step();
     EXPECT_TRUE(ready);
   }
+
+  cluster::ShardedBalancer& balancer() { return *cl.sharded_balancer(); }
+
+  /// Backends answering right now, read off the guests themselves.
+  std::size_t reachable_backends() {
+    std::size_t n = 0;
+    for (int h = 0; h < cl.host_count(); ++h) {
+      for (auto* os : cl.guests_of(h)) {
+        auto* apache =
+            static_cast<guest::ApacheService*>(os->find_service("httpd"));
+        if (os->service_reachable(*apache)) ++n;
+      }
+    }
+    return n;
+  }
+
+  std::uint64_t served_by(int host) {
+    std::uint64_t n = 0;
+    for (auto* os : cl.guests_of(host)) {
+      n += static_cast<guest::ApacheService*>(os->find_service("httpd"))
+               ->requests_served();
+    }
+    return n;
+  }
 };
 
 TEST(Cluster, StartBringsAllBackendsUp) {
   ClusterRig rig;
-  EXPECT_EQ(rig.cl.balancer().backend_count(), std::size_t{4});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
+  EXPECT_EQ(rig.balancer().backend_count(), std::size_t{4});
+  EXPECT_EQ(rig.reachable_backends(), std::size_t{4});
   for (int h = 0; h < 2; ++h) {
     EXPECT_TRUE(rig.cl.host(h).up());
     for (int v = 0; v < 2; ++v) {
@@ -92,10 +117,11 @@ TEST(Cluster, BalancerSkipsUnreachableBackends) {
   bool down = false;
   rig.cl.host(0).shutdown_dom0([&down] { down = true; });
   while (!down) rig.sim.step();
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{2});
+  EXPECT_EQ(rig.reachable_backends(), std::size_t{2});
   int served = 0;
   for (int i = 0; i < 10; ++i) {
-    rig.cl.balancer().dispatch([&](bool ok) { served += ok ? 1 : 0; });
+    rig.balancer().dispatch(static_cast<std::uint64_t>(i),
+                            [&](bool ok) { served += ok ? 1 : 0; });
   }
   rig.sim.run_for(5 * sim::kSecond);
   EXPECT_EQ(served, 10);  // host 1 carried everything
@@ -107,14 +133,14 @@ TEST(Cluster, DispatchFailsOnlyWhenAllDown) {
   rig.cl.host(0).shutdown_dom0([&down] { down = true; });
   while (!down) rig.sim.step();
   bool ok = true;
-  rig.cl.balancer().dispatch([&](bool served) { ok = served; });
+  rig.balancer().dispatch(0, [&](bool served) { ok = served; });
   EXPECT_FALSE(ok);
-  EXPECT_EQ(rig.cl.balancer().rejected(), std::uint64_t{1});
+  EXPECT_EQ(rig.balancer().rejected(), std::uint64_t{1});
 }
 
 TEST(Cluster, RollingWarmRejuvenationKeepsServiceAvailable) {
   ClusterRig rig;
-  cluster::ClusterClientFleet fleet(rig.sim, rig.cl.balancer(), {});
+  cluster::ClusterClientFleet fleet(rig.sim, rig.balancer(), {});
   fleet.start();
   rig.sim.run_for(10 * sim::kSecond);
   bool done = false;
@@ -128,7 +154,7 @@ TEST(Cluster, RollingWarmRejuvenationKeepsServiceAvailable) {
   for (const auto d : rig.cl.rejuvenation_durations()) {
     EXPECT_NEAR(sim::to_seconds(d), 52.0, 8.0);
   }
-  EXPECT_EQ(rig.cl.balancer().rejected(), std::uint64_t{0});
+  EXPECT_EQ(rig.balancer().rejected(), std::uint64_t{0});
   // All guests everywhere survived with state intact.
   for (int h = 0; h < 2; ++h) {
     for (int v = 0; v < 2; ++v) {
@@ -183,8 +209,8 @@ TEST(Cluster, SupervisedRollingPassIsCleanWithoutFaults) {
     EXPECT_EQ(pass.resumed_vms, std::size_t{2});
   }
   EXPECT_TRUE(report.evicted_hosts.empty());
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{0});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
+  EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{0});
+  EXPECT_EQ(rig.reachable_backends(), std::size_t{4});
 }
 
 TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
@@ -205,16 +231,18 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
         done = true;
       });
   // Step until host 1's ladder exhausts and it is evicted mid-pass...
-  while (!done && rig.cl.balancer().evicted_backends() == 0) rig.sim.step();
+  while (!done && rig.balancer().evicted_backends() == 0) rig.sim.step();
   ASSERT_FALSE(done);
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{2});
+  EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{2});
   // ...the balancer keeps serving from host 0 in the meantime...
   int served = 0;
   for (int i = 0; i < 8; ++i) {
-    rig.cl.balancer().dispatch([&](bool ok) { served += ok ? 1 : 0; });
+    rig.balancer().dispatch(static_cast<std::uint64_t>(i),
+                            [&](bool ok) { served += ok ? 1 : 0; });
   }
   rig.sim.run_for(5 * sim::kSecond);
   EXPECT_EQ(served, 8);
+  EXPECT_EQ(rig.served_by(1), std::uint64_t{0});
   // ...then the root cause is fixed, and the end-of-pass retry succeeds.
   rig.cl.host(1).configure_faults(fault::FaultConfig{});
   while (!done) rig.sim.step();
@@ -223,8 +251,8 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
   ASSERT_EQ(report.evicted_hosts, (std::vector<std::size_t>{1}));
   EXPECT_EQ(report.recovered_hosts, (std::vector<std::size_t>{1}));
   EXPECT_TRUE(report.failed_hosts.empty());
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{0});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
+  EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{0});
+  EXPECT_EQ(rig.reachable_backends(), std::size_t{4});
   for (int v = 0; v < 2; ++v) {
     EXPECT_EQ(rig.cl.guest(1, v).state(), guest::OsState::kRunning);
   }
@@ -253,26 +281,29 @@ TEST(Cluster, SupervisedRollingGivesUpAfterHostRetryBudget) {
   EXPECT_EQ(report.failed_hosts, (std::vector<std::size_t>{0}));
   EXPECT_TRUE(report.recovered_hosts.empty());
   // The dead host stays out of rotation; the healthy one still serves.
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{2});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{2});
+  EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{2});
+  EXPECT_EQ(rig.reachable_backends(), std::size_t{2});
   // Initial pass on each host + 2 recovery attempts on host 0.
   EXPECT_EQ(report.passes.size(), std::size_t{4});
 }
 
 TEST(Cluster, EvictionExcludesBackendsFromDispatchUntilLifted) {
   ClusterRig rig;
-  rig.cl.balancer().set_host_evicted(&rig.cl.host(0), true);
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{2});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{2});
+  rig.balancer().set_host_evicted(0, true);
+  EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{2});
+  EXPECT_EQ(rig.reachable_backends(), std::size_t{4});  // evicted, not down
   int served = 0;
   for (int i = 0; i < 6; ++i) {
-    rig.cl.balancer().dispatch([&](bool ok) { served += ok ? 1 : 0; });
+    rig.balancer().dispatch(static_cast<std::uint64_t>(i),
+                            [&](bool ok) { served += ok ? 1 : 0; });
   }
   rig.sim.run_for(5 * sim::kSecond);
-  EXPECT_EQ(served, 6);  // host 1 carried everything
-  rig.cl.balancer().set_host_evicted(&rig.cl.host(0), false);
-  EXPECT_EQ(rig.cl.balancer().evicted_backends(), std::size_t{0});
-  EXPECT_EQ(rig.cl.balancer().reachable_backends(), std::size_t{4});
+  EXPECT_EQ(served, 6);
+  EXPECT_EQ(rig.served_by(0), std::uint64_t{0});  // host 1 carried everything
+  EXPECT_EQ(rig.served_by(1), std::uint64_t{6});
+  rig.balancer().set_host_evicted(0, false);
+  EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{0});
+  EXPECT_EQ(rig.reachable_backends(), std::size_t{4});
 }
 
 }  // namespace

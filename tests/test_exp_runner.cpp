@@ -253,7 +253,7 @@ TEST(ExpRunner, SeedsAreDistinctAcrossTheGrid) {
       std::lock_guard<std::mutex> lock(mu);
       seeds.insert(ctx.seed);
     }
-    return exp::ReplicationResult{{0.0}, {}, {}};
+    return exp::ReplicationResult{{0.0}, {}, {}, {}};
   });
   EXPECT_EQ(seeds.size(), std::size_t{64});
 }
@@ -271,7 +271,7 @@ TEST(ExpRunner, SubstreamsDependOnlyOnRootSeedAndIndices) {
     exp::run_grid(spec, [&](const exp::ReplicationContext& ctx) {
       std::lock_guard<std::mutex> lock(mu);
       seeds[ctx.point_index * 3 + ctx.replication_index] = ctx.seed;
-      return exp::ReplicationResult{{0.0}, {}, {}};
+      return exp::ReplicationResult{{0.0}, {}, {}, {}};
     });
     return seeds;
   };
@@ -288,7 +288,7 @@ TEST(ExpRunner, BodyExceptionIsRethrownLowestTaskFirst) {
     if (task == 1 || task == 4) {
       throw std::runtime_error("task " + std::to_string(task));
     }
-    return {{0.0}, {}, {}};
+    return {{0.0}, {}, {}, {}};
   };
   try {
     exp::run_grid(spec, body);

@@ -125,7 +125,7 @@ TEST(FailureInjection, WarmRebootUnderActiveWorkloadIsClean) {
       web->add_service(std::make_unique<guest::ApacheService>()));
   std::vector<std::int64_t> files;
   for (int f = 0; f < 30; ++f) {
-    files.push_back(web->vfs().create_file("f" + std::to_string(f),
+    files.push_back(web->vfs().create_file('f' + std::to_string(f),
                                            512 * sim::kKiB));
   }
   guest::GuestOs* web_ptr = web.get();

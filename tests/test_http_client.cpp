@@ -20,7 +20,7 @@ struct WebRig {
     apache = &static_cast<guest::ApacheService&>(
         os->add_service(std::make_unique<guest::ApacheService>()));
     for (int f = 0; f < file_count; ++f) {
-      files.push_back(os->vfs().create_file("f" + std::to_string(f), file_size));
+      files.push_back(os->vfs().create_file('f' + std::to_string(f), file_size));
     }
     g = os.get();
     fx.guests.push_back(std::move(os));

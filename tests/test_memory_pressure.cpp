@@ -13,7 +13,7 @@
 #include <string>
 
 #include "cluster/cluster.hpp"
-#include "cluster/load_balancer.hpp"
+#include "cluster/sharded_balancer.hpp"
 #include "exp/runner.hpp"
 #include "mm/balloon.hpp"
 #include "rejuv/admission.hpp"
@@ -534,10 +534,11 @@ TEST(MemoryPressure, BalancerStopsPlacingOnPressuredHostsButFallsBack) {
   vmm::Host host_b(sim, {}, 43);
   host_a.instant_start();
   host_b.instant_start();
-  cluster::LoadBalancer balancer;
+  cluster::ShardedBalancer balancer(1);
   std::vector<std::unique_ptr<guest::GuestOs>> guests;
   std::vector<guest::ApacheService*> apaches;
   for (vmm::Host* host : {&host_a, &host_b}) {
+    const std::size_t host_index = host == &host_a ? 0 : 1;
     auto g = std::make_unique<guest::GuestOs>(
         *host, host == &host_a ? "web-a" : "web-b", sim::kGiB);
     g->add_service(std::make_unique<guest::ApacheService>());
@@ -547,13 +548,13 @@ TEST(MemoryPressure, BalancerStopsPlacingOnPressuredHostsButFallsBack) {
     run_until_flag(sim, up);
     auto* apache =
         static_cast<guest::ApacheService*>(g->find_service("httpd"));
-    balancer.add_backend({g.get(), apache, {0}});
+    balancer.add_backend({g.get(), apache, {0}, host_index});
     apaches.push_back(apache);
     guests.push_back(std::move(g));
   }
   const auto serve_one = [&] {
     bool done = false, ok = false;
-    balancer.dispatch([&](bool served) {
+    balancer.dispatch(0, [&](bool served) {
       ok = served;
       done = true;
     });
@@ -565,7 +566,7 @@ TEST(MemoryPressure, BalancerStopsPlacingOnPressuredHostsButFallsBack) {
   EXPECT_EQ(apaches[0]->requests_served(), 2);
   EXPECT_EQ(apaches[1]->requests_served(), 2);
   // Pressured host A stops receiving placements...
-  balancer.set_host_pressured(&host_a, true);
+  balancer.set_host_pressured(0, true);
   EXPECT_EQ(balancer.pressured_backends(), std::size_t{1});
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(serve_one());
   EXPECT_EQ(apaches[0]->requests_served(), 2);
@@ -577,7 +578,7 @@ TEST(MemoryPressure, BalancerStopsPlacingOnPressuredHostsButFallsBack) {
   EXPECT_EQ(apaches[0]->requests_served(), 3);
   EXPECT_EQ(balancer.rejected(), std::uint64_t{0});
   // Clearing the mark restores normal placement.
-  balancer.set_host_pressured(&host_a, false);
+  balancer.set_host_pressured(0, false);
   EXPECT_EQ(balancer.pressured_backends(), std::size_t{0});
   EXPECT_TRUE(serve_one());
   EXPECT_EQ(apaches[0]->requests_served(), 4);
@@ -617,9 +618,14 @@ TEST(MemoryPressure, SupervisedRollingPassMarksPressuredHosts) {
   // ...and both are marked pressured: still in service as a fallback,
   // but no longer preferred for new placements.
   EXPECT_EQ(report.pressured_hosts, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(cl.balancer().pressured_backends(), std::size_t{4});
-  EXPECT_EQ(cl.balancer().evicted_backends(), std::size_t{0});
-  EXPECT_EQ(cl.balancer().reachable_backends(), std::size_t{4});
+  EXPECT_EQ(cl.sharded_balancer()->pressured_backends(), std::size_t{4});
+  EXPECT_EQ(cl.sharded_balancer()->evicted_backends(), std::size_t{0});
+  for (int h = 0; h < cfg.hosts; ++h) {
+    for (auto* os : cl.guests_of(h)) {
+      EXPECT_TRUE(os->service_reachable(
+          *static_cast<guest::ApacheService*>(os->find_service("httpd"))));
+    }
+  }
 }
 
 // ---------------------------------------------------------- determinism

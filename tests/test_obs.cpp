@@ -186,7 +186,7 @@ TEST(MetricsRegistry, MergesByNameAndAppendsUnknowns) {
 TEST(MetricsRegistry, NameTypeClashThrows) {
   obs::MetricsRegistry m;
   ++m.counter("latency");
-  EXPECT_THROW(m.histogram("latency"), InvariantViolation);
+  EXPECT_THROW((void)m.histogram("latency"), InvariantViolation);
 }
 
 /// The replication body used by the determinism tests: metrics whose

@@ -248,8 +248,8 @@ std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
   cl.start([&ready] { ready = true; });
   engine.run_while([&ready] { return !ready; });
 
-  cluster::ClusterClientFleet fleet(engine.partition(0), cl.balancer(),
-                                    {.connections = 8});
+  cluster::ClusterClientFleet fleet(engine.partition(0),
+                                    *cl.sharded_balancer(), {.connections = 8});
   std::unique_ptr<cluster::SessionFleet> sessions;
   if (variant == Variant::kSharded || variant == Variant::kCrashScale ||
       variant == Variant::kScrape) {
@@ -334,8 +334,8 @@ std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
     d.mix(engine.partition(p).executed_events());
   }
   d.mix(static_cast<std::uint64_t>(fleet.completions().total()));
-  d.mix(cl.balancer().dispatched());
-  d.mix(cl.balancer().rejected());
+  d.mix(cl.sharded_balancer()->dispatched());
+  d.mix(cl.sharded_balancer()->rejected());
   for (const auto dur : cl.rejuvenation_durations()) {
     d.mix(static_cast<std::uint64_t>(dur));
   }
@@ -459,18 +459,18 @@ TEST(PdesCluster, EvictedMidProbeBackendIsNotServed) {
     // The round-robin cursor starts at host 0's backend, so the first
     // probe targets host 0. Evict it while that probe is in flight
     // (probe out +1ms, reply back +1ms; eviction lands at +1.5ms).
-    cl.balancer().dispatch([&](bool ok) {
+    cl.sharded_balancer()->dispatch(0, [&](bool ok) {
       served = ok;
       done = true;
     });
     engine.partition(0).after(1500, [&cl] {
-      cl.balancer().set_host_evicted(&cl.host(0), true);
+      cl.sharded_balancer()->set_host_evicted(0, true);
     });
   });
   engine.run_while([&done] { return !done; });
 
   EXPECT_TRUE(served);  // host 1 picked it up
-  EXPECT_EQ(cl.balancer().dispatched(), std::uint64_t{1});
+  EXPECT_EQ(cl.sharded_balancer()->dispatched(), std::uint64_t{1});
   auto served_by = [&cl](int h) {
     return static_cast<guest::ApacheService*>(
                cl.guest(h, 0).find_service("httpd"))
@@ -478,6 +478,51 @@ TEST(PdesCluster, EvictedMidProbeBackendIsNotServed) {
   };
   EXPECT_EQ(served_by(0), std::uint64_t{0});  // never resurrected
   EXPECT_EQ(served_by(1), std::uint64_t{1});
+}
+
+// With shards = 0 the lone balancer shard shares the control partition,
+// so a membership change issued there is applied in place, not posted:
+// the very next dispatch already sees every host evicted and rejects
+// without sending a single probe. That costs two same-partition hops
+// (the last-resort second lap, then the reply); a posted eviction would
+// first let a probe of host 0 go out and back, two hops more.
+TEST(PdesCluster, LoneShardAppliesControlPartitionEvictionInPlace) {
+  sim::ParallelSimulation engine({.partitions = 3, .workers = 1});
+  cluster::Cluster::Config cfg;
+  cfg.hosts = 2;
+  cfg.vms_per_host = 1;
+  cfg.files_per_vm = 4;
+  cfg.file_size = 64 * sim::kKiB;
+  cfg.calib.link.latency = 1000;
+  cfg.engine = &engine;
+  cluster::Cluster cl(engine.partition(0), cfg);
+  bool ready = false;
+  cl.start([&ready] { ready = true; });
+  engine.run_while([&ready] { return !ready; });
+
+  auto* sb = cl.sharded_balancer();
+  ASSERT_EQ(sb->shard_count(), std::size_t{1});
+  EXPECT_EQ(sb->shard_partition(0), 0);
+  sim::SimTime issued = 0, answered = 0;
+  bool done = false, served = true;
+  std::size_t evicted_at_dispatch = 0;
+  engine.run_on(0, [&] {
+    sb->set_host_evicted(0, true);
+    sb->set_host_evicted(1, true);
+    evicted_at_dispatch = sb->evicted_backends();
+    issued = engine.partition(0).now();
+    sb->dispatch(0, [&](bool ok) {
+      served = ok;
+      answered = engine.partition(0).now();
+      done = true;
+    });
+  });
+  engine.run_while([&done] { return !done; });
+
+  EXPECT_EQ(evicted_at_dispatch, std::size_t{2});
+  EXPECT_FALSE(served);
+  EXPECT_EQ(answered - issued, 2 * cfg.calib.link.latency);
+  EXPECT_EQ(sb->rejected(), std::uint64_t{1});
 }
 
 // Federated failover under the engine: a shard whose every backend is

@@ -146,11 +146,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BalloonChaos,
 // client timeout -- swept across outage durations.
 // ---------------------------------------------------------------------
 
+// gtest_discover_tests names each case by the raw bytes of its parameter,
+// so the tail bytes after `survives` are explicit members: left as padding
+// they would be uninitialised and the CTest names would change per build.
+// Their values pin the registered names and play no part in the test.
 struct TcpCase {
   int outage_s;
   int timeout_s;
   bool survives;
+  unsigned char name_tail[3];
 };
+static_assert(sizeof(TcpCase) == 12, "TcpCase must have no hidden padding");
 
 class TcpSurvival : public ::testing::TestWithParam<TcpCase> {};
 
@@ -175,12 +181,13 @@ TEST_P(TcpSurvival, MatchesPrediction) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TcpSurvival,
-    ::testing::Values(TcpCase{10, 60, true},    // short outage
-                      TcpCase{40, 60, true},    // warm-reboot scale
-                      TcpCase{50, 60, true},    // just inside
-                      TcpCase{70, 60, false},   // just outside
-                      TcpCase{400, 60, false},  // saved-reboot scale
-                      TcpCase{400, 0, true}));  // no client timeout
+    ::testing::Values(
+        TcpCase{10, 60, true, {0xFF, 0xFF, 0xFF}},    // short outage
+        TcpCase{40, 60, true, {0x00, 0x00, 0x00}},    // warm-reboot scale
+        TcpCase{50, 60, true, {0xAE, 0x20, 0x2D}},    // just inside
+        TcpCase{70, 60, false, {0xFF, 0xFF, 0xFF}},   // just outside
+        TcpCase{400, 60, false, {0xB1, 0x20, 0x2D}},  // saved-reboot scale
+        TcpCase{400, 0, true, {0x00, 0x00, 0x00}}));  // no client timeout
 
 // ---------------------------------------------------------------------
 // Property 5: downtime ordering warm < cold < saved holds at every VM
