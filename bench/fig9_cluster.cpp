@@ -90,7 +90,8 @@ SimRow simulated_once(std::uint64_t seed, const std::string& trace_path = "") {
       t0 - 20 * sim::kSecond, t0);
 
   bool done = false;
-  cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+  cl.rolling_rejuvenation_waves(
+      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   while (!done) s.step();
   const sim::SimTime t1 = s.now();
   s.run_for(60 * sim::kSecond);
@@ -140,7 +141,8 @@ void parallel_once(std::size_t workers, std::uint64_t seed) {
   engine.run_until(engine.partition(0).now() + 30 * sim::kSecond);
   bool done = false;
   engine.run_on(0, [&cl, &done] {
-    cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+    cl.rolling_rejuvenation_waves(
+        {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   });
   engine.run_while([&done] { return !done; });
   engine.run_until(engine.partition(0).now() + 60 * sim::kSecond);
@@ -300,7 +302,7 @@ int run_scale(const ScaleOptions& o) {
               static_cast<std::size_t>(stats.sessions_down_at_end));
   std::printf("    waves: %zu started, %zu hosts rejuvenated (K=%d)%s; "
               "federated dispatches %llu, rejected %llu\n",
-              waves.waves.size(), cl.rejuvenation_durations().size(), o.wave,
+              waves.waves.size(), waves.hosts_rejuvenated, o.wave,
               waves_done ? ", pass complete" : ", pass still rolling",
               static_cast<unsigned long long>(
                   cl.sharded_balancer()->federated()),
@@ -355,8 +357,7 @@ int run_scale(const ScaleOptions& o) {
      << "  \"p99_request_latency_us\": "
      << stats.request_latency.percentile(99.0) << ",\n"
      << "  \"waves_started\": " << waves.waves.size() << ",\n"
-     << "  \"hosts_rejuvenated\": " << cl.rejuvenation_durations().size()
-     << ",\n"
+     << "  \"hosts_rejuvenated\": " << waves.hosts_rejuvenated << ",\n"
      << "  \"federated_dispatches\": " << cl.sharded_balancer()->federated()
      << ",\n"
      << "  \"rejected_dispatches\": " << cl.sharded_balancer()->rejected()

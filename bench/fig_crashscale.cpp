@@ -150,7 +150,7 @@ Cell run_cell(const Options& o, const Ladder& ladder, double rate) {
   cell.unplanned = cl.unplanned_report();
   const auto& waves = cl.last_wave_report();
   cell.waves_started = waves.waves.size();
-  cell.hosts_rejuvenated = cl.rejuvenation_durations().size();
+  cell.hosts_rejuvenated = waves.hosts_rejuvenated;
   cell.admission_pauses = waves.admission_pauses;
   cell.deferred_turns = waves.deferred_turns;
   cell.wave_planned_downtime = waves.planned_downtime;

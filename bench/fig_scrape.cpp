@@ -193,7 +193,7 @@ Cell run_cell(const Options& o, double rate, double interval_s,
   cell.unplanned = cl.unplanned_report();
   const auto& waves = cl.last_wave_report();
   cell.waves_started = waves.waves.size();
-  cell.hosts_rejuvenated = cl.rejuvenation_durations().size();
+  cell.hosts_rejuvenated = waves.hosts_rejuvenated;
   cell.admission_pauses = waves.admission_pauses;
   for (const auto& w : waves.waves) {
     cell.waves.emplace_back(w.hosts.begin(), w.hosts.end());

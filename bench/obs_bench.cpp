@@ -134,7 +134,8 @@ ClusterRun cluster_once(bool observe) {
   fleet.start();
   s.run_for(30 * sim::kSecond);
   bool done = false;
-  cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+  cl.rolling_rejuvenation_waves(
+      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   while (!done) s.step();
   s.run_for(60 * sim::kSecond);
   fleet.stop();

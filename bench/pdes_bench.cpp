@@ -87,7 +87,8 @@ RunResult run_once(const RunConfig& rc) {
     // Kick the rolling pass; at bench horizons it is typically still in
     // flight when the run ends, which is exactly the mixed steady-state +
     // rejuvenation event load the headline figure simulates.
-    cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [] {});
+    cl.rolling_rejuvenation_waves(
+        {}, [](const cluster::Cluster::WaveReport&) {});
   });
   engine.run_until(engine.partition(0).now() +
                    static_cast<sim::Duration>(rc.sim_seconds * sim::kSecond));

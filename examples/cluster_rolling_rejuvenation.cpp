@@ -39,7 +39,8 @@ exp::ReplicationResult replicated_run(const exp::ReplicationContext& ctx) {
   sim.run_for(30 * sim::kSecond);
   const sim::SimTime t0 = sim.now();
   bool done = false;
-  cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+  cl.rolling_rejuvenation_waves(
+      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   while (!done) sim.step();
   const sim::SimTime t1 = sim.now();
   fleet.stop();
@@ -54,9 +55,9 @@ exp::ReplicationResult replicated_run(const exp::ReplicationContext& ctx) {
   return out;
 }
 
-/// One *supervised* rolling pass with every host's observer on and a 5 %
-/// uniform fault rate (armed after provisioning, so only the pass itself
-/// is attacked), exported as a Chrome trace: one Perfetto process per
+/// One rolling pass (every turn supervised) with every host's observer on
+/// and a 5 % uniform fault rate (armed after provisioning, so only the
+/// pass itself is attacked), exported as a Chrome trace: one Perfetto process per
 /// host, pass/rung/phase spans nested, recovery actions as instants.
 /// This is the EXPERIMENTS.md "open it in Perfetto" recipe.
 void write_supervised_trace(const char* path) {
@@ -74,8 +75,8 @@ void write_supervised_trace(const char* path) {
   }
   sim.run_for(5 * sim::kSecond);
   bool done = false;
-  cl.rolling_rejuvenation_supervised(
-      {}, [&done](const cluster::Cluster::RollingReport&) { done = true; });
+  cl.rolling_rejuvenation_waves(
+      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   while (!done) sim.step();
   std::ofstream os(path);
   obs::ChromeTraceWriter writer(os);
@@ -110,7 +111,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nrolling warm-VM rejuvenation across all hosts...\n");
   bool done = false;
-  cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+  cl.rolling_rejuvenation_waves(
+      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   while (!done) sim.step();
   const sim::SimTime t1 = sim.now();
   sim.run_for(60 * sim::kSecond);

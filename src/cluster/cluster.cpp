@@ -34,9 +34,8 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
     balancer_.bind_parallel(*config_.engine, first_shard_partition,
                             config_.calib.link.latency);
   }
-  // Waves launch several drivers/supervisors concurrently, so per-host
-  // slots are needed in sequential mode too.
-  host_drivers_.resize(static_cast<std::size_t>(config_.hosts));
+  // Waves launch several supervisors concurrently, so per-host slots are
+  // needed in sequential mode too.
   host_supervisors_.resize(static_cast<std::size_t>(config_.hosts));
   steady_slots_.resize(static_cast<std::size_t>(config_.hosts));
   crash_down_.assign(static_cast<std::size_t>(config_.hosts), 0);
@@ -128,276 +127,21 @@ void Cluster::start(std::function<void()> on_ready) {
   }
 }
 
-void Cluster::rolling_rejuvenation(rejuv::RebootKind kind,
-                                   std::function<void()> on_done) {
-  ensure(static_cast<bool>(on_done), "rolling_rejuvenation: callback required");
-  ensure(!rolling_in_progress_,
-         "rolling_rejuvenation: a rolling pass is already in progress");
-  rolling_in_progress_ = true;
-  durations_.clear();
-  rejuvenate_from(0, kind, std::move(on_done));
-}
-
-void Cluster::rejuvenate_from(std::size_t host_index, rejuv::RebootKind kind,
-                              std::function<void()> on_done) {
-  if (host_index == hosts_.size()) {
-    active_driver_.reset();
-    rolling_in_progress_ = false;
-    on_done();
-    return;
-  }
-  if (config_.engine != nullptr) {
-    rejuvenate_remote(host_index, kind, std::move(on_done));
-    return;
-  }
-  vmm::Host& h = *hosts_[host_index];
-  obs::SpanId turn = obs::kNoSpan;
-  if (h.obs().enabled()) {
-    turn = h.obs().span_open(sim_.now(), obs::Phase::kRollingPass,
-                             "rolling turn host " + std::to_string(host_index));
-    h.obs().set_ambient(turn);
-  }
-  active_driver_ = rejuv::make_reboot_driver(
-      kind, h, guests_of(static_cast<int>(host_index)));
-  active_driver_->run([this, host_index, kind, turn,
-                       on_done = std::move(on_done)]() mutable {
-    durations_.push_back(active_driver_->total_duration());
-    vmm::Host& done_host = *hosts_[host_index];
-    done_host.obs().span_close(turn, sim_.now());
-    done_host.obs().set_ambient(obs::kNoSpan);
-    rejuvenate_from(host_index + 1, kind, std::move(on_done));
-  });
-}
-
-void Cluster::rejuvenate_remote(std::size_t host_index, rejuv::RebootKind kind,
-                                std::function<void()> on_done) {
-  // Control partition -> host partition hop. The driver is constructed,
-  // run and destroyed only in the host's partition context; the reply
-  // carries the measured duration by value so the control plane never
-  // reads driver state across the boundary.
-  config_.engine->post(
-      partition_of(static_cast<int>(host_index)), config_.calib.link.latency,
-      [this, host_index, kind, on_done = std::move(on_done)]() mutable {
-        vmm::Host& h = *hosts_[host_index];
-        obs::SpanId turn = obs::kNoSpan;
-        if (h.obs().enabled()) {
-          turn = h.obs().span_open(
-              h.sim().now(), obs::Phase::kRollingPass,
-              "rolling turn host " + std::to_string(host_index));
-          h.obs().set_ambient(turn);
-        }
-        auto& slot = host_drivers_[host_index];
-        slot = rejuv::make_reboot_driver(
-            kind, h, guests_of(static_cast<int>(host_index)));
-        slot->run([this, host_index, kind, turn,
-                   on_done = std::move(on_done)]() mutable {
-          vmm::Host& done_host = *hosts_[host_index];
-          done_host.obs().span_close(turn, done_host.sim().now());
-          done_host.obs().set_ambient(obs::kNoSpan);
-          const sim::Duration took =
-              host_drivers_[host_index]->total_duration();
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, host_index, kind, took,
-                                on_done = std::move(on_done)]() mutable {
-            durations_.push_back(took);
-            rejuvenate_from(host_index + 1, kind, std::move(on_done));
-          });
-        });
-      });
-}
-
-void Cluster::rolling_rejuvenation_supervised(
-    SupervisionConfig config,
-    std::function<void(const RollingReport&)> on_done) {
-  ensure(static_cast<bool>(on_done),
-         "rolling_rejuvenation_supervised: callback required");
-  ensure(!rolling_in_progress_,
-         "rolling_rejuvenation_supervised: a rolling pass is already in progress");
-  ensure(config.max_host_retries >= 0,
-         "rolling_rejuvenation_supervised: negative retry budget");
-  ensure(config.host_retry_base > 0 &&
-             config.host_retry_cap >= config.host_retry_base,
-         "rolling_rejuvenation_supervised: need cap >= base > 0");
-  rolling_in_progress_ = true;
-  supervision_ = config;
-  rolling_report_ = {};
-  retry_queue_.clear();
-  durations_.clear();
-  supervise_from(0, std::move(on_done));
-}
-
-void Cluster::supervise_from(std::size_t host_index,
-                             std::function<void(const RollingReport&)> on_done) {
-  if (host_index == hosts_.size()) {
-    if (retry_queue_.empty()) {
-      finish_rolling(std::move(on_done));
-    } else {
-      retry_evicted(0, 0, std::move(on_done));
-    }
-    return;
-  }
-  if (config_.engine != nullptr) {
-    supervise_remote(host_index, std::move(on_done));
-    return;
-  }
-  vmm::Host& h = *hosts_[host_index];
-  obs::SpanId turn = obs::kNoSpan;
-  if (h.obs().enabled()) {
-    turn = h.obs().span_open(sim_.now(), obs::Phase::kRollingPass,
-                             "rolling turn host " + std::to_string(host_index));
-    h.obs().set_ambient(turn);
-  }
-  active_supervisor_ = std::make_unique<rejuv::Supervisor>(
-      h, guests_of(static_cast<int>(host_index)), supervision_.supervisor);
-  active_supervisor_->run([this, host_index, turn,
-                           on_done = std::move(on_done)](
-                              const rejuv::SupervisorReport& report) mutable {
-    hosts_[host_index]->obs().span_close(turn, sim_.now());
-    hosts_[host_index]->obs().set_ambient(obs::kNoSpan);
-    rolling_report_.passes.push_back(report);
-    durations_.push_back(report.total_duration());
-    if (!report.success) {
-      // The ladder exhausted on this host: take its backends out of
-      // rotation and queue it for an end-of-pass retry. The pass goes on.
-      balancer_.set_host_evicted(host_index, true);
-      rolling_report_.evicted_hosts.push_back(host_index);
-      retry_queue_.push_back(host_index);
-    } else if (report.pressure.pressured) {
-      // The host came back, but only by shedding preserved memory: its
-      // admission controller had to reclaim or demote. Drain load away
-      // from it rather than feeding the overcommit.
-      balancer_.set_host_pressured(host_index, true);
-      rolling_report_.pressured_hosts.push_back(host_index);
-    }
-    supervise_from(host_index + 1, std::move(on_done));
-  });
-}
-
-void Cluster::supervise_remote(std::size_t host_index,
-                               std::function<void(const RollingReport&)> on_done) {
-  config_.engine->post(
-      partition_of(static_cast<int>(host_index)), config_.calib.link.latency,
-      [this, host_index, on_done = std::move(on_done)]() mutable {
-        vmm::Host& h = *hosts_[host_index];
-        obs::SpanId turn = obs::kNoSpan;
-        if (h.obs().enabled()) {
-          turn = h.obs().span_open(
-              h.sim().now(), obs::Phase::kRollingPass,
-              "rolling turn host " + std::to_string(host_index));
-          h.obs().set_ambient(turn);
-        }
-        auto& slot = host_supervisors_[host_index];
-        slot = std::make_unique<rejuv::Supervisor>(
-            h, guests_of(static_cast<int>(host_index)),
-            supervision_.supervisor);
-        slot->run([this, host_index, turn, on_done = std::move(on_done)](
-                      const rejuv::SupervisorReport& report) mutable {
-          vmm::Host& done_host = *hosts_[host_index];
-          done_host.obs().span_close(turn, done_host.sim().now());
-          done_host.obs().set_ambient(obs::kNoSpan);
-          // Reply carries the report by value: eviction/pressure flags
-          // and the rolling report are control-plane state.
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, host_index, report,
-                                on_done = std::move(on_done)]() mutable {
-            rolling_report_.passes.push_back(report);
-            durations_.push_back(report.total_duration());
-            if (!report.success) {
-              balancer_.set_host_evicted(host_index, true);
-              rolling_report_.evicted_hosts.push_back(host_index);
-              retry_queue_.push_back(host_index);
-            } else if (report.pressure.pressured) {
-              balancer_.set_host_pressured(host_index, true);
-              rolling_report_.pressured_hosts.push_back(host_index);
-            }
-            supervise_from(host_index + 1, std::move(on_done));
-          });
-        });
-      });
-}
-
-void Cluster::retry_evicted(std::size_t queue_index, int attempt,
-                            std::function<void(const RollingReport&)> on_done) {
-  if (queue_index == retry_queue_.size()) {
-    finish_rolling(std::move(on_done));
-    return;
-  }
-  const std::size_t host_index = retry_queue_[queue_index];
-  sim_.after(host_retry_backoff(attempt), [this, queue_index, attempt,
-                                           host_index,
-                                           on_done = std::move(on_done)]() mutable {
-    if (config_.engine != nullptr) {
-      recover_remote(queue_index, attempt, host_index, std::move(on_done));
-      return;
-    }
-    active_supervisor_ = std::make_unique<rejuv::Supervisor>(
-        *hosts_[host_index], guests_of(static_cast<int>(host_index)),
-        supervision_.supervisor);
-    active_supervisor_->recover(
-        [this, queue_index, attempt, host_index, on_done = std::move(on_done)](
-            const rejuv::SupervisorReport& report) mutable {
-          rolling_report_.passes.push_back(report);
-          if (report.success) {
-            balancer_.set_host_evicted(host_index, false);
-            rolling_report_.recovered_hosts.push_back(host_index);
-            retry_evicted(queue_index + 1, 0, std::move(on_done));
-          } else if (attempt < supervision_.max_host_retries) {
-            retry_evicted(queue_index, attempt + 1, std::move(on_done));
-          } else {
-            rolling_report_.failed_hosts.push_back(host_index);
-            retry_evicted(queue_index + 1, 0, std::move(on_done));
-          }
-        });
-  });
-}
-
-void Cluster::recover_remote(std::size_t queue_index, int attempt,
-                             std::size_t host_index,
-                             std::function<void(const RollingReport&)> on_done) {
-  config_.engine->post(
-      partition_of(static_cast<int>(host_index)), config_.calib.link.latency,
-      [this, queue_index, attempt, host_index,
-       on_done = std::move(on_done)]() mutable {
-        auto& slot = host_supervisors_[host_index];
-        slot = std::make_unique<rejuv::Supervisor>(
-            *hosts_[host_index], guests_of(static_cast<int>(host_index)),
-            supervision_.supervisor);
-        slot->recover([this, queue_index, attempt, host_index,
-                       on_done = std::move(on_done)](
-                          const rejuv::SupervisorReport& report) mutable {
-          config_.engine->post(
-              0, config_.calib.link.latency,
-              [this, queue_index, attempt, host_index, report,
-               on_done = std::move(on_done)]() mutable {
-                rolling_report_.passes.push_back(report);
-                if (report.success) {
-                  balancer_.set_host_evicted(host_index, false);
-                  rolling_report_.recovered_hosts.push_back(host_index);
-                  retry_evicted(queue_index + 1, 0, std::move(on_done));
-                } else if (attempt < supervision_.max_host_retries) {
-                  retry_evicted(queue_index, attempt + 1, std::move(on_done));
-                } else {
-                  rolling_report_.failed_hosts.push_back(host_index);
-                  retry_evicted(queue_index + 1, 0, std::move(on_done));
-                }
-              });
-        });
-      });
-}
-
-void Cluster::finish_rolling(std::function<void(const RollingReport&)> on_done) {
-  active_supervisor_.reset();
-  retry_queue_.clear();
-  rolling_in_progress_ = false;
-  on_done(rolling_report_);
-}
-
 void Cluster::to_control(std::function<void()> fn) {
   if (config_.engine == nullptr) {
     fn();
     return;
   }
   config_.engine->post(0, config_.calib.link.latency, std::move(fn));
+}
+
+void Cluster::to_host(std::size_t host_index, std::function<void()> fn) {
+  if (config_.engine == nullptr) {
+    fn();
+    return;
+  }
+  config_.engine->post(partition_of(static_cast<int>(host_index)),
+                       config_.calib.link.latency, std::move(fn));
 }
 
 void Cluster::start_steady_faults(const SteadyFaultsConfig& config) {
@@ -594,9 +338,17 @@ void Cluster::rolling_rejuvenation_waves(
   ensure(config.wave_size >= 1, "rolling_rejuvenation_waves: wave_size >= 1");
   ensure(config.max_concurrent_down >= 0,
          "rolling_rejuvenation_waves: negative downtime budget");
+  ensure(config.max_host_retries >= 0,
+         "rolling_rejuvenation_waves: negative retry budget");
+  ensure(config.host_retry_base > 0 &&
+             config.host_retry_cap >= config.host_retry_base,
+         "rolling_rejuvenation_waves: need cap >= base > 0");
   rolling_in_progress_ = true;
   durations_.clear();
   wave_report_ = {};
+  // The pass's reboot kind overrides the supervisor's preferred mechanism
+  // for every turn and retry.
+  config.supervisor.preferred = config.kind;
   wave_ = std::make_unique<WaveState>();
   wave_->config = config;
   wave_->on_done = std::move(on_done);
@@ -613,11 +365,7 @@ void Cluster::rolling_rejuvenation_waves(
 // mailboxes, so the schedule derived from them is worker-count invariant.
 void Cluster::wave_gather() {
   if (wave_->remaining == 0) {
-    wave_report_.hosts_rejuvenated = hosts_.size();
-    rolling_in_progress_ = false;
-    auto on_done = std::move(wave_->on_done);
-    wave_.reset();
-    on_done(wave_report_);
+    wave_retry(0, 0);
     return;
   }
   if (wave_->config.signals == WaveSignalSource::kScraped) {
@@ -640,18 +388,10 @@ void Cluster::wave_gather() {
   wave_->replies_pending = wave_->remaining;
   for (std::size_t h = 0; h < hosts_.size(); ++h) {
     if (wave_->scheduled[h] != 0) continue;
-    if (config_.engine == nullptr) {
+    to_host(h, [this, h] {
       const auto [load, headroom] =
           host_signals(h, hosts_[h]->obs().enabled());
-      wave_collect(h, load, headroom);
-      continue;
-    }
-    config_.engine->post(partition_of(static_cast<int>(h)),
-                         config_.calib.link.latency, [this, h] {
-      const auto [load, headroom] =
-          host_signals(h, hosts_[h]->obs().enabled());
-      config_.engine->post(0, config_.calib.link.latency,
-                           [this, h, load, headroom] {
+      to_control([this, h, load, headroom] {
         wave_collect(h, load, headroom);
       });
     });
@@ -738,73 +478,37 @@ void Cluster::wave_kick() {
 }
 
 void Cluster::wave_run_host(std::size_t host_index) {
-  // Every wave turn is supervised: a mid-wave VMM failure walks the
-  // degradation ladder instead of aborting the pass. The wave's reboot
-  // kind overrides the supervisor's preferred mechanism.
-  rejuv::SupervisorConfig scfg = wave_->config.supervisor;
-  scfg.preferred = wave_->config.kind;
-  if (config_.engine == nullptr) {
+  // Every turn is supervised: a mid-wave VMM failure walks the
+  // degradation ladder instead of aborting the pass. The supervisor lives
+  // and dies on the host's partition; the reply carries the report by
+  // value.
+  to_host(host_index, [this, host_index, scfg = wave_->config.supervisor] {
     vmm::Host& h = *hosts_[host_index];
     if (!h.up() || h.recovery_in_progress()) {
-      wave_host_deferred(host_index);
+      // An unplanned ladder took the host between launch and arrival (the
+      // crash notification may still be in flight): hand the turn back
+      // instead of colliding with the overlap guard.
+      to_control([this, host_index] { wave_host_deferred(host_index); });
       return;
     }
     obs::SpanId turn = obs::kNoSpan;
     if (h.obs().enabled()) {
-      turn = h.obs().span_open(sim_.now(), obs::Phase::kRollingPass,
+      turn = h.obs().span_open(h.sim().now(), obs::Phase::kRollingPass,
                                "wave turn host " + std::to_string(host_index));
       h.obs().set_ambient(turn);
     }
     auto& slot = host_supervisors_[host_index];
     slot = std::make_unique<rejuv::Supervisor>(
         h, guests_of(static_cast<int>(host_index)), scfg);
-    slot->run([this, host_index,
-               turn](const rejuv::SupervisorReport& report) {
+    slot->run([this, host_index, turn](const rejuv::SupervisorReport& report) {
       vmm::Host& done_host = *hosts_[host_index];
-      done_host.obs().span_close(turn, sim_.now());
+      done_host.obs().span_close(turn, done_host.sim().now());
       done_host.obs().set_ambient(obs::kNoSpan);
-      wave_host_done(host_index, report);
-    });
-    return;
-  }
-  // Control partition -> host partition hop, same discipline as
-  // supervise_remote: the supervisor lives and dies on the host's
-  // partition, the reply carries the report by value.
-  config_.engine->post(
-      partition_of(static_cast<int>(host_index)), config_.calib.link.latency,
-      [this, host_index, scfg] {
-        vmm::Host& h = *hosts_[host_index];
-        if (!h.up() || h.recovery_in_progress()) {
-          // An unplanned ladder took the host between launch and arrival
-          // (the crash notification is still in flight): hand the turn
-          // back instead of colliding with the overlap guard.
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, host_index] {
-            wave_host_deferred(host_index);
-          });
-          return;
-        }
-        obs::SpanId turn = obs::kNoSpan;
-        if (h.obs().enabled()) {
-          turn = h.obs().span_open(
-              h.sim().now(), obs::Phase::kRollingPass,
-              "wave turn host " + std::to_string(host_index));
-          h.obs().set_ambient(turn);
-        }
-        auto& slot = host_supervisors_[host_index];
-        slot = std::make_unique<rejuv::Supervisor>(
-            h, guests_of(static_cast<int>(host_index)), scfg);
-        slot->run([this, host_index,
-                   turn](const rejuv::SupervisorReport& report) {
-          vmm::Host& done_host = *hosts_[host_index];
-          done_host.obs().span_close(turn, done_host.sim().now());
-          done_host.obs().set_ambient(obs::kNoSpan);
-          config_.engine->post(0, config_.calib.link.latency,
-                               [this, host_index, report] {
-            wave_host_done(host_index, report);
-          });
-        });
+      to_control([this, host_index, report] {
+        wave_host_done(host_index, report);
       });
+    });
+  });
 }
 
 void Cluster::wave_host_deferred(std::size_t host_index) {
@@ -825,11 +529,22 @@ void Cluster::wave_host_done(std::size_t host_index,
   wave.outcome_hosts.push_back(host_index);
   if (!report.success) {
     // The ladder exhausted mid-wave: take the host's backends out of
-    // rotation. Waves have no retry queue; the eviction is the outcome.
+    // rotation and queue it for an end-of-pass retry. The pass goes on.
     balancer_.set_host_evicted(host_index, true);
     wave_report_.unrecovered_hosts.push_back(host_index);
-  } else if (report.completed != report.attempted) {
-    wave_report_.degraded_hosts.push_back(host_index);
+    wave_->retry_queue.push_back(host_index);
+  } else {
+    ++wave_report_.hosts_rejuvenated;
+    if (report.completed != report.attempted) {
+      wave_report_.degraded_hosts.push_back(host_index);
+    }
+    if (report.pressure.pressured) {
+      // The host came back, but only by shedding preserved memory: its
+      // admission controller had to reclaim or demote. Drain load away
+      // from it rather than feeding the overcommit.
+      balancer_.set_host_pressured(host_index, true);
+      wave_report_.pressured_hosts.push_back(host_index);
+    }
   }
   wave.outcomes.push_back(std::move(report));
   if (--wave_->inflight == 0) {
@@ -840,13 +555,63 @@ void Cluster::wave_host_done(std::size_t host_index,
   }
 }
 
-sim::Duration Cluster::host_retry_backoff(int attempt) const {
-  sim::Duration delay = supervision_.host_retry_base;
-  for (int k = 0; k < attempt && delay < supervision_.host_retry_cap; ++k) {
-    delay *= 2;
+void Cluster::wave_retry(std::size_t queue_index, int attempt) {
+  if (queue_index == wave_->retry_queue.size()) {
+    rolling_in_progress_ = false;
+    auto on_done = std::move(wave_->on_done);
+    wave_.reset();
+    on_done(wave_report_);
+    return;
   }
-  return delay < supervision_.host_retry_cap ? delay
-                                             : supervision_.host_retry_cap;
+  const std::size_t host_index = wave_->retry_queue[queue_index];
+  sim_.after(host_retry_backoff(attempt), [this, queue_index, attempt,
+                                           host_index,
+                                           scfg = wave_->config.supervisor] {
+    to_host(host_index, [this, queue_index, attempt, host_index, scfg] {
+      vmm::Host& h = *hosts_[host_index];
+      if (!h.up() || h.recovery_in_progress()) {
+        // An unplanned ladder owns (or lost) the host: this attempt fails.
+        to_control([this, queue_index, attempt] {
+          wave_retry_done(queue_index, attempt, false);
+        });
+        return;
+      }
+      auto& slot = host_supervisors_[host_index];
+      slot = std::make_unique<rejuv::Supervisor>(
+          h, guests_of(static_cast<int>(host_index)), scfg);
+      slot->recover([this, queue_index,
+                     attempt](const rejuv::SupervisorReport& report) {
+        to_control([this, queue_index, attempt, report] {
+          wave_report_.retries.push_back(report);
+          wave_retry_done(queue_index, attempt, report.success);
+        });
+      });
+    });
+  });
+}
+
+void Cluster::wave_retry_done(std::size_t queue_index, int attempt,
+                              bool recovered) {
+  const std::size_t host_index = wave_->retry_queue[queue_index];
+  if (recovered) {
+    balancer_.set_host_evicted(host_index, false);
+    auto& unrecovered = wave_report_.unrecovered_hosts;
+    unrecovered.erase(
+        std::find(unrecovered.begin(), unrecovered.end(), host_index));
+    wave_report_.recovered_hosts.push_back(host_index);
+    wave_retry(queue_index + 1, 0);
+  } else if (attempt < wave_->config.max_host_retries) {
+    wave_retry(queue_index, attempt + 1);
+  } else {
+    wave_retry(queue_index + 1, 0);
+  }
+}
+
+sim::Duration Cluster::host_retry_backoff(int attempt) const {
+  const sim::Duration cap = wave_->config.host_retry_cap;
+  sim::Duration delay = wave_->config.host_retry_base;
+  for (int k = 0; k < attempt && delay < cap; ++k) delay *= 2;
+  return delay < cap ? delay : cap;
 }
 
 }  // namespace rh::cluster

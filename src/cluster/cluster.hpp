@@ -13,7 +13,6 @@
 #include "fault/fault.hpp"
 #include "obs/slo.hpp"
 #include "obs/tsdb.hpp"
-#include "rejuv/reboot_driver.hpp"
 #include "rejuv/recovery_driver.hpp"
 #include "rejuv/supervisor.hpp"
 
@@ -64,37 +63,6 @@ class Cluster {
     int shards = 0;
   };
 
-  /// Knobs for the supervised rolling pass (rolling_rejuvenation_supervised).
-  struct SupervisionConfig {
-    rejuv::SupervisorConfig supervisor;
-    /// A host whose pass left VMs unrecovered is evicted from the balancer
-    /// and retried at the end of the pass, up to this many times, with
-    /// capped exponential backoff between attempts.
-    int max_host_retries = 2;
-    sim::Duration host_retry_base = 30 * sim::kMinute;
-    sim::Duration host_retry_cap = 2 * sim::kHour;
-  };
-
-  /// Outcome of one supervised rolling pass.
-  struct RollingReport {
-    /// One report per supervisor run, in execution order (initial pass
-    /// over every host, then end-of-pass host retries).
-    std::vector<rejuv::SupervisorReport> passes;
-    /// Hosts evicted mid-pass because their ladder exhausted.
-    std::vector<std::size_t> evicted_hosts;
-    /// Evicted hosts brought back by the end-of-pass retries.
-    std::vector<std::size_t> recovered_hosts;
-    /// Hosts still evicted when the pass ended (retries exhausted too).
-    std::vector<std::size_t> failed_hosts;
-    /// Hosts whose pass succeeded but whose admission controller reported
-    /// preserved-memory pressure (demand over budget). They stay in
-    /// service as a last resort, but the balancer stops preferring them
-    /// (ShardedBalancer::set_host_pressured) -- backpressure instead of
-    /// deepening the overcommit.
-    std::vector<std::size_t> pressured_hosts;
-    [[nodiscard]] bool fully_recovered() const { return failed_hosts.empty(); }
-  };
-
   Cluster(sim::Simulation& sim, Config config);
   ~Cluster();  ///< out-of-line: scraper_ is a unique_ptr of a fwd decl
   Cluster(const Cluster&) = delete;
@@ -120,24 +88,6 @@ class Cluster {
   /// The cluster's balancer; never null.
   [[nodiscard]] ShardedBalancer* sharded_balancer() { return &balancer_; }
 
-  /// Rejuvenates every host's VMM in turn (never two at once), using the
-  /// given reboot strategy. `on_done` fires after the last host is back.
-  /// Overlapping passes are an invariant violation: a second call while a
-  /// pass is in flight would silently drop the first pass's driver
-  /// mid-reboot, so it fails fast instead. Partitioned mode: invoke from
-  /// control-partition context (engine.run_on(0, ...)) -- each turn hops
-  /// to the host's partition and back through the mailboxes.
-  void rolling_rejuvenation(rejuv::RebootKind kind, std::function<void()> on_done);
-
-  /// Fault-tolerant rolling pass: each host runs under a rejuv::Supervisor
-  /// (watchdogs, retries, the warm->saved->cold degradation ladder). A
-  /// host whose ladder exhausts is evicted from the balancer and the pass
-  /// continues; evicted hosts are retried with backoff once the pass has
-  /// covered every other host. Same overlap rule as the plain pass.
-  void rolling_rejuvenation_supervised(
-      SupervisionConfig config,
-      std::function<void(const RollingReport&)> on_done);
-
   /// Where rolling_rejuvenation_waves reads its per-host ordering
   /// signals from.
   enum class WaveSignalSource : std::uint8_t {
@@ -152,7 +102,8 @@ class Cluster {
     kScraped,
   };
 
-  /// Knobs for the wave-based rolling pass (rolling_rejuvenation_waves).
+  /// Knobs for the rolling pass (rolling_rejuvenation_waves). The
+  /// defaults are the paper's pass: one host at a time, warm reboot.
   struct WaveConfig {
     /// Hosts rejuvenated concurrently per wave.
     int wave_size = 1;
@@ -168,6 +119,12 @@ class Cluster {
     rejuv::SupervisorConfig supervisor{};
     /// Signal source for the wave ordering (DESIGN.md §15).
     WaveSignalSource signals = WaveSignalSource::kWireTap;
+    /// A host whose turn ladder exhausted is evicted from the balancer and
+    /// retried once every wave is done: up to max_host_retries + 1
+    /// recovery attempts, with capped exponential backoff before each.
+    int max_host_retries = 2;
+    sim::Duration host_retry_base = 30 * sim::kMinute;
+    sim::Duration host_retry_cap = 2 * sim::kHour;
   };
 
   /// Knobs for the telemetry plane (DESIGN.md §15): per-host /metrics
@@ -238,7 +195,7 @@ class Cluster {
   /// Hosts the control plane currently believes to be crash-down.
   [[nodiscard]] std::size_t unplanned_down_hosts() const;
 
-  /// Outcome of one wave-based rolling pass.
+  /// Outcome of one rolling pass.
   struct WaveReport {
     struct Wave {
       /// Hosts in this wave, in the order the scheduler picked them.
@@ -253,16 +210,28 @@ class Cluster {
       sim::SimTime finished = 0;
     };
     std::vector<Wave> waves;
+    /// Turns whose ladder succeeded, counted as they land (live mid-pass).
     std::size_t hosts_rejuvenated = 0;
     /// Hosts that came back, but on a lower rung than the wave asked for
     /// (completed != attempted: a mid-wave ladder descent).
     std::vector<std::size_t> degraded_hosts;
-    /// Hosts whose ladder exhausted with VMs unrecovered; evicted from
-    /// the balancer (waves have no end-of-pass retry queue). With steady
+    /// Hosts left with VMs unrecovered. A host whose turn ladder exhausted
+    /// is evicted from the balancer and retried at the end of the pass; it
+    /// stays listed here only if every retry failed too. With steady
     /// faults armed this also lists hosts an *unplanned* ladder lost while
     /// they were still pending -- the pass skips them instead of running a
-    /// turn on a dead host.
+    /// turn on a dead host, and does not retry them.
     std::vector<std::size_t> unrecovered_hosts;
+    /// Hosts an end-of-pass retry brought back; their eviction is lifted.
+    std::vector<std::size_t> recovered_hosts;
+    /// One report per end-of-pass recovery attempt, in execution order.
+    std::vector<rejuv::SupervisorReport> retries;
+    /// Hosts whose turn succeeded but whose admission controller reported
+    /// preserved-memory pressure (demand over budget). They stay in
+    /// service as a last resort, but the balancer stops preferring them
+    /// (ShardedBalancer::set_host_pressured) -- backpressure instead of
+    /// deepening the overcommit.
+    std::vector<std::size_t> pressured_hosts;
     /// Planned host-level downtime: summed wave-turn ladder durations
     /// (the unplanned share lives in Cluster::unplanned_report()).
     sim::Duration planned_downtime = 0;
@@ -278,12 +247,14 @@ class Cluster {
     }
   };
 
-  /// Wave-based rolling pass: rejuvenates wave_size hosts per wave, a
-  /// barrier between waves, under the concurrent-downtime budget. Each
-  /// host's turn runs under a rejuv::Supervisor, so a mid-wave fault walks
-  /// the degradation ladder (micro-recovery, warm->saved->cold) instead of
-  /// aborting the pass; outcomes land in the WaveReport and a host left
-  /// unrecovered is evicted from the balancer. Before
+  /// The rolling pass: rejuvenates every host's VMM, wave_size hosts per
+  /// wave, a barrier between waves, under the concurrent-downtime budget
+  /// (the default config is the paper's one-host-at-a-time warm pass).
+  /// Each host's turn runs under a rejuv::Supervisor, so a mid-wave fault
+  /// walks the degradation ladder (micro-recovery, warm->saved->cold)
+  /// instead of aborting the pass; outcomes land in the WaveReport. A host
+  /// left unrecovered is evicted from the balancer and retried with
+  /// backoff once every wave is done. Before
   /// each wave the scheduler gathers live signals from every pending host
   /// -- served-request load and preserved-budget headroom, mirrored into
   /// the host's MetricsRegistry when observability is on -- and
@@ -291,26 +262,24 @@ class Cluster {
   /// headroom, then host index), so the wave drains as few active
   /// sessions as possible while prioritising memory-tight hosts.
   /// Signals are gathered over the mailboxes under the engine, so the
-  /// schedule is bitwise reproducible for any worker count. Same overlap
-  /// rule as the other passes. Partitioned mode: invoke from
-  /// control-partition context (engine.run_on(0, ...)).
+  /// schedule is bitwise reproducible for any worker count. Overlapping
+  /// passes are an invariant violation: a second call while a pass is in
+  /// flight fails fast instead of dropping the first pass's ladders.
+  /// Partitioned mode: invoke from control-partition context
+  /// (engine.run_on(0, ...)); each turn hops to the host's partition and
+  /// back through the mailboxes.
   void rolling_rejuvenation_waves(
       WaveConfig config, std::function<void(const WaveReport&)> on_done);
 
-  /// Report of the last wave-based pass (valid after it completes).
+  /// Report of the last rolling pass (valid after it completes).
   [[nodiscard]] const WaveReport& last_wave_report() const {
     return wave_report_;
   }
 
-  /// True while either flavour of rolling pass is in flight.
+  /// True while a rolling pass is in flight.
   [[nodiscard]] bool rolling_in_progress() const { return rolling_in_progress_; }
 
-  /// Report of the last supervised rolling pass (valid after it completes).
-  [[nodiscard]] const RollingReport& last_rolling_report() const {
-    return rolling_report_;
-  }
-
-  /// Duration of each host's rejuvenation in the last rolling pass.
+  /// Duration of each turn of the last rolling pass, in completion order.
   [[nodiscard]] const std::vector<sim::Duration>& rejuvenation_durations() const {
     return durations_;
   }
@@ -318,23 +287,6 @@ class Cluster {
  private:
   friend class MetricsScraper;
 
-  void rejuvenate_from(std::size_t host_index, rejuv::RebootKind kind,
-                       std::function<void()> on_done);
-  /// Partitioned rolling turn: hops to the host's partition, runs the
-  /// reboot driver there, and posts the completion (with the measured
-  /// duration) back to the control partition.
-  void rejuvenate_remote(std::size_t host_index, rejuv::RebootKind kind,
-                         std::function<void()> on_done);
-  void supervise_from(std::size_t host_index,
-                      std::function<void(const RollingReport&)> on_done);
-  void supervise_remote(std::size_t host_index,
-                        std::function<void(const RollingReport&)> on_done);
-  void recover_remote(std::size_t queue_index, int attempt,
-                      std::size_t host_index,
-                      std::function<void(const RollingReport&)> on_done);
-  void retry_evicted(std::size_t queue_index, int attempt,
-                     std::function<void(const RollingReport&)> on_done);
-  void finish_rolling(std::function<void(const RollingReport&)> on_done);
   [[nodiscard]] sim::Duration host_retry_backoff(int attempt) const;
   /// (served-request load, preserved-budget headroom) for one host; runs
   /// on the host's partition under the engine. With `mirror` the signals
@@ -357,6 +309,9 @@ class Cluster {
   /// Runs `fn` on the control partition (posted under the engine, inline
   /// on the single calendar).
   void to_control(std::function<void()> fn);
+  /// Runs `fn` on host `host_index`'s partition (posted under the engine,
+  /// inline on the single calendar).
+  void to_host(std::size_t host_index, std::function<void()> fn);
   void wave_gather();
   void wave_collect(std::size_t host_index, std::uint64_t load,
                     std::int64_t headroom);
@@ -368,25 +323,24 @@ class Cluster {
   /// Resumes a paused pass after an unplanned recovery (replans from the
   /// next signal gather).
   void wave_kick();
+  /// End-of-pass recovery attempt `attempt` on retry_queue[queue_index],
+  /// after its backoff; past the end of the queue the pass finishes.
+  void wave_retry(std::size_t queue_index, int attempt);
+  void wave_retry_done(std::size_t queue_index, int attempt, bool recovered);
 
   sim::Simulation& sim_;
   Config config_;
   std::vector<std::unique_ptr<vmm::Host>> hosts_;
   std::vector<std::vector<std::unique_ptr<guest::GuestOs>>> guests_;
   ShardedBalancer balancer_;
-  std::unique_ptr<rejuv::RebootDriver> active_driver_;
-  std::unique_ptr<rejuv::Supervisor> active_supervisor_;
-  /// Partitioned mode: per-host driver/supervisor slots, created and
-  /// destroyed only in the owning host's partition context (the window
-  /// barriers order those accesses against the control partition).
-  std::vector<std::unique_ptr<rejuv::RebootDriver>> host_drivers_;
+  /// Per-host supervisor slots (a wave runs several turns at once),
+  /// created and destroyed only in the owning host's partition context
+  /// (the window barriers order those accesses against the control
+  /// partition).
   std::vector<std::unique_ptr<rejuv::Supervisor>> host_supervisors_;
   std::vector<sim::Duration> durations_;
   bool rolling_in_progress_ = false;
-  SupervisionConfig supervision_;
-  RollingReport rolling_report_;
-  std::vector<std::size_t> retry_queue_;
-  /// In-flight wave pass. The gather fan-out and the wave barrier both
+  /// In-flight rolling pass. The gather fan-out and the wave barrier both
   /// count down control-side, so all mutation happens on partition 0.
   struct WaveState {
     WaveConfig config;
@@ -400,6 +354,9 @@ class Cluster {
     /// Admission paused on an exhausted crash budget; an unplanned
     /// recovery clears it and re-gathers.
     bool paused = false;
+    /// Hosts whose turn ladder exhausted, in eviction order: retried once
+    /// every wave is done.
+    std::vector<std::size_t> retry_queue;
   };
   std::unique_ptr<WaveState> wave_;
   WaveReport wave_report_;

@@ -144,7 +144,8 @@ TEST(Cluster, RollingWarmRejuvenationKeepsServiceAvailable) {
   fleet.start();
   rig.sim.run_for(10 * sim::kSecond);
   bool done = false;
-  rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+  rig.cl.rolling_rejuvenation_waves(
+      {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
   while (!done) rig.sim.step();
   rig.sim.run_for(10 * sim::kSecond);
   fleet.stop();
@@ -173,21 +174,35 @@ TEST(Cluster, GuestsOfValidatesIndex) {
 
 TEST(Cluster, OverlappingRollingPassesAreRejected) {
   // A second rolling pass while one is in flight would silently drop the
-  // first pass's driver mid-reboot; it must fail fast instead.
+  // first pass's ladders mid-reboot; it must fail fast instead.
   ClusterRig rig;
   bool done = false;
-  rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&done] { done = true; });
+  rig.cl.rolling_rejuvenation_waves(
+      {.wave_size = 2},
+      [&done](const cluster::Cluster::WaveReport&) { done = true; });
   EXPECT_TRUE(rig.cl.rolling_in_progress());
-  EXPECT_THROW(
-      rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [] {}),
-      InvariantViolation);
-  EXPECT_THROW(rig.cl.rolling_rejuvenation_supervised({}, [](auto&) {}),
+  EXPECT_THROW(rig.cl.rolling_rejuvenation_waves({}, [](auto&) {}),
                InvariantViolation);
   while (!done) rig.sim.step();
   EXPECT_FALSE(rig.cl.rolling_in_progress());
+  // The concurrent wave ran both hosts together (one wave, two durations).
+  EXPECT_EQ(rig.cl.last_wave_report().waves.size(), std::size_t{1});
+  EXPECT_EQ(rig.cl.rejuvenation_durations().size(), std::size_t{2});
+  // Retry knobs are validated at the entry point.
+  EXPECT_THROW(
+      rig.cl.rolling_rejuvenation_waves({.max_host_retries = -1},
+                                        [](auto&) {}),
+      InvariantViolation);
+  EXPECT_THROW(rig.cl.rolling_rejuvenation_waves(
+                   {.host_retry_base = 2 * sim::kHour,
+                    .host_retry_cap = sim::kHour},
+                   [](auto&) {}),
+               InvariantViolation);
+  EXPECT_FALSE(rig.cl.rolling_in_progress());
   // Once the pass finished, a new one is welcome again.
   bool again = false;
-  rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [&again] { again = true; });
+  rig.cl.rolling_rejuvenation_waves(
+      {}, [&again](const cluster::Cluster::WaveReport&) { again = true; });
   while (!again) rig.sim.step();
   EXPECT_TRUE(again);
 }
@@ -195,20 +210,24 @@ TEST(Cluster, OverlappingRollingPassesAreRejected) {
 TEST(Cluster, SupervisedRollingPassIsCleanWithoutFaults) {
   ClusterRig rig;
   bool done = false;
-  cluster::Cluster::RollingReport report;
-  rig.cl.rolling_rejuvenation_supervised(
-      {}, [&](const cluster::Cluster::RollingReport& r) {
+  cluster::Cluster::WaveReport report;
+  rig.cl.rolling_rejuvenation_waves(
+      {}, [&](const cluster::Cluster::WaveReport& r) {
         report = r;
         done = true;
       });
   while (!done) rig.sim.step();
   EXPECT_TRUE(report.fully_recovered());
-  ASSERT_EQ(report.passes.size(), std::size_t{2});  // one per host, no retries
-  for (const auto& pass : report.passes) {
-    EXPECT_TRUE(pass.success);
-    EXPECT_EQ(pass.resumed_vms, std::size_t{2});
+  // One turn per host, no retries.
+  ASSERT_EQ(report.waves.size(), std::size_t{2});
+  for (const auto& wave : report.waves) {
+    ASSERT_EQ(wave.outcomes.size(), std::size_t{1});
+    EXPECT_TRUE(wave.outcomes[0].success);
+    EXPECT_EQ(wave.outcomes[0].resumed_vms, std::size_t{2});
   }
-  EXPECT_TRUE(report.evicted_hosts.empty());
+  EXPECT_TRUE(report.retries.empty());
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{2});
+  EXPECT_TRUE(report.unrecovered_hosts.empty());
   EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{0});
   EXPECT_EQ(rig.reachable_backends(), std::size_t{4});
 }
@@ -220,13 +239,13 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
   faults.boot_hang_rate = 1.0;
   rig.cl.host(1).configure_faults(faults);
 
-  cluster::Cluster::SupervisionConfig cfg;
-  cfg.supervisor.preferred = rejuv::RebootKind::kCold;
+  cluster::Cluster::WaveConfig cfg;
+  cfg.kind = rejuv::RebootKind::kCold;
   cfg.supervisor.max_step_retries = 0;
   bool done = false;
-  cluster::Cluster::RollingReport report;
-  rig.cl.rolling_rejuvenation_supervised(
-      cfg, [&](const cluster::Cluster::RollingReport& r) {
+  cluster::Cluster::WaveReport report;
+  rig.cl.rolling_rejuvenation_waves(
+      cfg, [&](const cluster::Cluster::WaveReport& r) {
         report = r;
         done = true;
       });
@@ -234,6 +253,8 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
   while (!done && rig.balancer().evicted_backends() == 0) rig.sim.step();
   ASSERT_FALSE(done);
   EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{2});
+  EXPECT_EQ(rig.cl.last_wave_report().unrecovered_hosts,
+            (std::vector<std::size_t>{1}));
   // ...the balancer keeps serving from host 0 in the meantime...
   int served = 0;
   for (int i = 0; i < 8; ++i) {
@@ -248,9 +269,11 @@ TEST(Cluster, SupervisedRollingEvictsFailedHostAndRetriesIt) {
   while (!done) rig.sim.step();
 
   EXPECT_TRUE(report.fully_recovered());
-  ASSERT_EQ(report.evicted_hosts, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
   EXPECT_EQ(report.recovered_hosts, (std::vector<std::size_t>{1}));
-  EXPECT_TRUE(report.failed_hosts.empty());
+  EXPECT_TRUE(report.unrecovered_hosts.empty());
+  ASSERT_EQ(report.retries.size(), std::size_t{1});
+  EXPECT_TRUE(report.retries[0].success);
   EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{0});
   EXPECT_EQ(rig.reachable_backends(), std::size_t{4});
   for (int v = 0; v < 2; ++v) {
@@ -264,27 +287,52 @@ TEST(Cluster, SupervisedRollingGivesUpAfterHostRetryBudget) {
   faults.boot_hang_rate = 1.0;  // never fixed this time
   rig.cl.host(0).configure_faults(faults);
 
-  cluster::Cluster::SupervisionConfig cfg;
-  cfg.supervisor.preferred = rejuv::RebootKind::kCold;
+  cluster::Cluster::WaveConfig cfg;
+  cfg.kind = rejuv::RebootKind::kCold;
   cfg.supervisor.max_step_retries = 0;
   cfg.max_host_retries = 1;
   bool done = false;
-  cluster::Cluster::RollingReport report;
-  rig.cl.rolling_rejuvenation_supervised(
-      cfg, [&](const cluster::Cluster::RollingReport& r) {
+  cluster::Cluster::WaveReport report;
+  rig.cl.rolling_rejuvenation_waves(
+      cfg, [&](const cluster::Cluster::WaveReport& r) {
         report = r;
         done = true;
       });
   while (!done) rig.sim.step();
   EXPECT_FALSE(report.fully_recovered());
-  EXPECT_EQ(report.evicted_hosts, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(report.failed_hosts, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{0}));
   EXPECT_TRUE(report.recovered_hosts.empty());
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
   // The dead host stays out of rotation; the healthy one still serves.
   EXPECT_EQ(rig.balancer().evicted_backends(), std::size_t{2});
   EXPECT_EQ(rig.reachable_backends(), std::size_t{2});
-  // Initial pass on each host + 2 recovery attempts on host 0.
-  EXPECT_EQ(report.passes.size(), std::size_t{4});
+  // One turn on each host + 2 recovery attempts on host 0.
+  EXPECT_EQ(report.waves.size(), std::size_t{2});
+  ASSERT_EQ(report.retries.size(), std::size_t{2});
+  for (const auto& retry : report.retries) EXPECT_FALSE(retry.success);
+}
+
+TEST(Cluster, HostsRejuvenatedCountsOnlySuccessfulTurns) {
+  ClusterRig rig;
+  fault::FaultConfig faults;
+  faults.boot_hang_rate = 1.0;
+  rig.cl.host(1).configure_faults(faults);
+
+  cluster::Cluster::WaveConfig cfg;
+  cfg.kind = rejuv::RebootKind::kCold;
+  cfg.supervisor.max_step_retries = 0;
+  cfg.max_host_retries = 0;
+  bool done = false;
+  cluster::Cluster::WaveReport report;
+  rig.cl.rolling_rejuvenation_waves(
+      cfg, [&](const cluster::Cluster::WaveReport& r) {
+        report = r;
+        done = true;
+      });
+  while (!done) rig.sim.step();
+  // Host 1's turn exhausted: it ran, but it was not rejuvenated.
+  EXPECT_EQ(report.hosts_rejuvenated, std::size_t{1});
+  EXPECT_EQ(report.unrecovered_hosts, (std::vector<std::size_t>{1}));
 }
 
 TEST(Cluster, EvictionExcludesBackendsFromDispatchUntilLifted) {

@@ -105,7 +105,8 @@ TEST(SteadyFaultsAtScale, WaveAdmissionPausesUntilCrashBudgetFrees) {
   rig.sim.run_for(30 * sim::kMinute);
   EXPECT_TRUE(done);
   const auto& report = rig.cl.last_wave_report();
-  EXPECT_EQ(report.hosts_rejuvenated + report.unrecovered_hosts.size(),
+  EXPECT_EQ(report.hosts_rejuvenated + report.recovered_hosts.size() +
+                report.unrecovered_hosts.size(),
             std::size_t{2});
   EXPECT_GT(report.planned_downtime, sim::Duration{0});
   // Unplanned ladders ran alongside the planned pass the whole time.

@@ -597,23 +597,26 @@ TEST(MemoryPressure, SupervisedRollingPassMarksPressuredHosts) {
   while (!ready && sim.pending_events() > 0) sim.step();
   ASSERT_TRUE(ready);
 
-  cluster::Cluster::SupervisionConfig sup;
+  cluster::Cluster::WaveConfig sup;
   sup.supervisor.admission.enabled = true;
   bool done = false;
-  cluster::Cluster::RollingReport report;
-  cl.rolling_rejuvenation_supervised(
-      sup, [&](const cluster::Cluster::RollingReport& r) {
+  cluster::Cluster::WaveReport report;
+  cl.rolling_rejuvenation_waves(
+      sup, [&](const cluster::Cluster::WaveReport& r) {
         report = r;
         done = true;
       });
   while (!done && sim.pending_events() > 0) sim.step();
   ASSERT_TRUE(done);
-  // Both hosts completed their pass (degraded, not evicted)...
+  // Both hosts completed their turn (degraded, not evicted)...
   EXPECT_TRUE(report.fully_recovered());
-  EXPECT_TRUE(report.evicted_hosts.empty());
-  for (const auto& pass : report.passes) {
-    EXPECT_TRUE(pass.success);
-    EXPECT_TRUE(pass.pressure.pressured);
+  EXPECT_TRUE(report.retries.empty());
+  ASSERT_EQ(report.waves.size(), std::size_t{2});
+  for (const auto& wave : report.waves) {
+    for (const auto& turn : wave.outcomes) {
+      EXPECT_TRUE(turn.success);
+      EXPECT_TRUE(turn.pressure.pressured);
+    }
   }
   // ...and both are marked pressured: still in service as a fallback,
   // but no longer preferred for new placements.

@@ -205,7 +205,7 @@ enum class Variant {
 std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
   // kSharded exercises the DESIGN.md §12 control plane: shard partitions
   // between the control plane and the hosts, a batched SessionFleet pinned
-  // to the shards, and a wave-based rolling pass instead of the serial one.
+  // to the shards, and two-host waves instead of one host at a time.
   const int shards = variant == Variant::kSharded ||
                              variant == Variant::kCrashScale ||
                              variant == Variant::kScrape
@@ -285,12 +285,7 @@ std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
   engine.run_until(engine.partition(0).now() + 10 * sim::kSecond);
 
   bool done = false;
-  if (variant == Variant::kFaults) {
-    engine.run_on(0, [&cl, &done] {
-      cl.rolling_rejuvenation_supervised(
-          {}, [&done](const cluster::Cluster::RollingReport&) { done = true; });
-    });
-  } else if (variant == Variant::kSharded) {
+  if (variant == Variant::kSharded) {
     engine.run_on(0, [&cl, &done] {
       cluster::Cluster::WaveConfig wcfg;
       wcfg.wave_size = 2;
@@ -321,8 +316,8 @@ std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
     });
   } else {
     engine.run_on(0, [&cl, &done] {
-      cl.rolling_rejuvenation(rejuv::RebootKind::kWarm,
-                              [&done] { done = true; });
+      cl.rolling_rejuvenation_waves(
+          {}, [&done](const cluster::Cluster::WaveReport&) { done = true; });
     });
   }
   engine.run_while([&done] { return !done; });
@@ -340,11 +335,12 @@ std::uint64_t cluster_digest(std::size_t workers, Variant variant) {
     d.mix(static_cast<std::uint64_t>(dur));
   }
   if (variant == Variant::kFaults) {
-    const auto& report = cl.last_rolling_report();
-    d.mix(report.passes.size());
-    d.mix(report.evicted_hosts.size());
+    const auto& report = cl.last_wave_report();
+    d.mix(report.waves.size());
+    d.mix(report.retries.size());
+    d.mix(report.hosts_rejuvenated);
     d.mix(report.recovered_hosts.size());
-    d.mix(report.failed_hosts.size());
+    d.mix(report.unrecovered_hosts.size());
     d.mix(report.pressured_hosts.size());
   }
   if (variant == Variant::kCrashWave) {

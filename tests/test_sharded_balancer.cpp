@@ -349,7 +349,8 @@ TEST(ClusterWaves, OverlappingPassesAreRejected) {
   EXPECT_TRUE(rig.cl.rolling_in_progress());
   EXPECT_THROW(rig.cl.rolling_rejuvenation_waves({}, [](auto&) {}),
                InvariantViolation);
-  EXPECT_THROW(rig.cl.rolling_rejuvenation(rejuv::RebootKind::kWarm, [] {}),
+  EXPECT_THROW(rig.cl.rolling_rejuvenation_waves(
+                   {.kind = rejuv::RebootKind::kWarm}, [](auto&) {}),
                InvariantViolation);
   while (!done) rig.sim.step();
   EXPECT_FALSE(rig.cl.rolling_in_progress());
