@@ -220,15 +220,7 @@ int main(int argc, char** argv) {
       if (const char* v = next()) o.check_interval_s = std::atof(v);
     } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
       if (const char* v = next()) {
-        o.rates.clear();
-        std::string s(v);
-        std::size_t pos = 0;
-        while (pos < s.size()) {
-          std::size_t comma = s.find(',', pos);
-          if (comma == std::string::npos) comma = s.size();
-          o.rates.push_back(std::atof(s.substr(pos, comma - pos).c_str()));
-          pos = comma + 1;
-        }
+        o.rates = rh::bench::parse_value_list("--fault-rate", v);
       }
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       if (const char* v = next()) o.workers = std::strtoull(v, nullptr, 10);
@@ -244,6 +236,10 @@ int main(int argc, char** argv) {
   if (o.hosts < 1 || o.shards < 1 || o.wave < 1 || o.workers < 1 ||
       o.rates.empty()) {
     usage(argv[0]);
+    return 2;
+  }
+  if (o.sim_seconds <= 0 || o.check_interval_s <= 0) {
+    std::fprintf(stderr, "--sim-seconds and --check-interval-s must be > 0\n");
     return 2;
   }
 

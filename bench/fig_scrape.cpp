@@ -271,18 +271,6 @@ double wave_order_fidelity(const std::vector<std::vector<std::size_t>>& base,
   return total / static_cast<double>(n);
 }
 
-void parse_list(const char* v, std::vector<double>* out) {
-  out->clear();
-  std::string s(v);
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out->push_back(std::atof(s.substr(pos, comma - pos).c_str()));
-    pos = comma + 1;
-  }
-}
-
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [--hosts H] [--shards S] [--wave K] [--sessions M]\n"
@@ -313,9 +301,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--check-interval-s") == 0) {
       if (const char* v = next()) o.check_interval_s = std::atof(v);
     } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
-      if (const char* v = next()) parse_list(v, &o.rates);
+      if (const char* v = next()) {
+        o.rates = rh::bench::parse_value_list("--fault-rate", v);
+      }
     } else if (std::strcmp(argv[i], "--interval-s") == 0) {
-      if (const char* v = next()) parse_list(v, &o.intervals_s);
+      if (const char* v = next()) {
+        o.intervals_s = rh::bench::parse_value_list("--interval-s", v);
+      }
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       if (const char* v = next()) o.workers = std::strtoull(v, nullptr, 10);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
@@ -332,6 +324,10 @@ int main(int argc, char** argv) {
   if (o.hosts < 1 || o.shards < 1 || o.wave < 1 || o.workers < 1 ||
       o.rates.empty() || o.intervals_s.empty()) {
     usage(argv[0]);
+    return 2;
+  }
+  if (o.sim_seconds <= 0 || o.check_interval_s <= 0) {
+    std::fprintf(stderr, "--sim-seconds and --check-interval-s must be > 0\n");
     return 2;
   }
   for (const double is : o.intervals_s) {

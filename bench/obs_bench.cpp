@@ -1,7 +1,7 @@
 // Observability overhead benchmark: the zero-cost contract, measured.
 //
-//   micro        -- per-call cost of the typed Observer, disabled and
-//                   enabled, against the legacy string-building Tracer
+//   micro        -- per-call cost of the typed Observer: emit disabled,
+//                   emit enabled, and one enabled span open/close pair
 //   cluster      -- the fig9 DES cluster rolling pass run twice, observer
 //                   off and on, with a digest over every deterministic
 //                   output: the digests must match (enabling observability
@@ -16,13 +16,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
 #include "obs/observer.hpp"
-#include "simcore/trace.hpp"
 
 namespace {
 
@@ -83,23 +83,6 @@ double run_span_pair_enabled(std::uint64_t ops) {
   }
   const double ns = ns_per_op(ops, seconds_since(t0));
   g_sink = g_sink + obs.spans().records().size();
-  return ns;
-}
-
-/// The legacy narrative path: an enabled Tracer fed a dynamically built
-/// message, i.e. what every hot-path trace call cost before the typed
-/// layer (and still costs wherever narration is wanted).
-double run_legacy_tracer(std::uint64_t ops) {
-  sim::Tracer tracer;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    tracer.emit(static_cast<sim::SimTime>(i), "vmm",
-                "created domain " + std::to_string(i) + " (" +
-                    std::to_string(i % 32) + " GiB)");
-    if (tracer.records().size() > 100000) tracer.clear();
-  }
-  const double ns = ns_per_op(ops, seconds_since(t0));
-  g_sink = g_sink + tracer.records().size();
   return ns;
 }
 
@@ -167,7 +150,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-      ops = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      ops = std::strtoull(argv[++i], nullptr, 10);
+      if (ops == 0) {
+        std::fprintf(stderr, "--ops must be a positive integer\n");
+        return 2;
+      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--budget-seconds S] [--out PATH] [--ops N]\n",
@@ -185,21 +172,14 @@ int main(int argc, char** argv) {
       {"emit_disabled", &run_emit_disabled},
       {"emit_enabled", &run_emit_enabled},
       {"span_pair_enabled", &run_span_pair_enabled},
-      {"legacy_tracer_string", &run_legacy_tracer},
   };
-  // The string-building workload is far slower per op; give it fewer.
-  const std::uint64_t tracer_ops = std::max<std::uint64_t>(ops / 16, 1);
 
   std::printf("observability benchmark: %llu ops/micro, %.1f s budget\n\n",
               static_cast<unsigned long long>(ops), budget_seconds);
   const auto t0 = Clock::now();
   int reps = 0;
   do {
-    for (auto& m : micros) {
-      const std::uint64_t n =
-          std::strcmp(m.name, "legacy_tracer_string") == 0 ? tracer_ops : ops;
-      m.best_ns = std::min(m.best_ns, m.fn(n));
-    }
+    for (auto& m : micros) m.best_ns = std::min(m.best_ns, m.fn(ops));
     ++reps;
   } while (seconds_since(t0) < budget_seconds * 0.5 && reps < 20);
   for (const auto& m : micros) {

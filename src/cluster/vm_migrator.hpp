@@ -49,7 +49,7 @@ class VmMigrator {
   void precopy_round(sim::Bytes to_send);
   void stop_and_copy(sim::Bytes residue);
   void finish();
-  void abort(const std::string& why);
+  void abort();
 
   MigrationConfig config_;
   bool in_progress_ = false;

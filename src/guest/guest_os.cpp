@@ -63,11 +63,6 @@ mm::Pfn GuestOs::cache_region_end_pfn() const {
              (host_->calib().cache_block_size / sim::kPageSize);
 }
 
-void GuestOs::trace(const std::string& msg) {
-  if (!host_->tracer().enabled()) return;
-  host_->tracer().emit(host_->sim().now(), "guest/" + name_, msg);
-}
-
 Service& GuestOs::add_service(std::unique_ptr<Service> service) {
   ensure(service != nullptr, "GuestOs::add_service: null service");
   services_.push_back(std::move(service));
@@ -121,7 +116,6 @@ void GuestOs::rebind_host(vmm::Host& new_host) {
   ensure(new_host.up(), "rebind_host: destination host is not up");
   host_ = &new_host;
   domain_id_ = kNoDomain;  // the destination assigns a new domain id
-  trace("switched to destination host");
 }
 
 void GuestOs::create_and_boot(std::function<void()> on_up) {
@@ -139,13 +133,17 @@ void GuestOs::create_and_boot(std::function<void()> on_up) {
 }
 
 void GuestOs::boot_sequence(std::function<void()> on_up) {
-  trace("kernel booting");
+  host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
+                    obs::EventKind::kLifecycle, "kernel booting", domain_id_);
   // Injected boot hang: the kernel wedges before init (bad device handshake,
   // a driver spinning on a lost interrupt). Nothing further is scheduled --
   // the OS sits in kBooting until a watchdog force-powers it off.
   if (host_->faults().roll(fault::FaultKind::kGuestBootHang,
                            host_->sim().now(), "boot:" + name_)) {
-    trace("kernel boot HUNG (injected); only a power-off can recover");
+    host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
+                      obs::EventKind::kFaultInjected, "kernel boot hung",
+                      domain_id_,
+                      static_cast<std::uint64_t>(fault::FaultKind::kGuestBootHang));
     return;
   }
   // A fresh boot starts with a cold cache and a new kernel image layout.
@@ -172,9 +170,9 @@ void GuestOs::boot_sequence(std::function<void()> on_up) {
             start_services_from(0, [this, epoch, on_up = std::move(on_up)] {
               if (epoch != epoch_) return;
               state_ = OsState::kRunning;
-              if (host_->tracer().enabled()) {
-                trace("up (" + std::to_string(services_.size()) + " services)");
-              }
+              host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
+                                obs::EventKind::kLifecycle, "guest up",
+                                domain_id_, services_.size());
               on_up();
             });
           });
@@ -209,7 +207,8 @@ void GuestOs::shutdown(std::function<void()> on_halted) {
   ensure(state_ == OsState::kRunning || state_ == OsState::kCrashed,
          "shutdown: OS not running (is " + std::string(to_string(state_)) + ")");
   state_ = OsState::kShuttingDown;
-  trace("shutting down");
+  host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
+                    obs::EventKind::kLifecycle, "shutting down", domain_id_);
   const Calibration& calib = host_->calib();
   const auto epoch = epoch_;
   // Early shutdown scripts run before services are stopped; requests are
@@ -231,7 +230,9 @@ void GuestOs::shutdown(std::function<void()> on_halted) {
                 [this, epoch, on_halted = std::move(on_halted)] {
                   if (epoch != epoch_) return;
                   state_ = OsState::kHalted;
-                  trace("halted");
+                  host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
+                                    obs::EventKind::kLifecycle, "halted",
+                                    domain_id_);
                   // The VMM tears the halted domain down (xm destroy).
                   if (host_->vmm_running() &&
                       host_->vmm().find_domain(domain_id_) != nullptr) {
@@ -248,9 +249,9 @@ void GuestOs::shutdown(std::function<void()> on_halted) {
 
 void GuestOs::force_power_off() {
   if (state_ == OsState::kHalted) return;
-  if (host_->tracer().enabled()) {
-    trace("forced power-off (state was " + std::string(to_string(state_)) + ")");
-  }
+  host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
+                    obs::EventKind::kLifecycle, "forced power-off", domain_id_,
+                    static_cast<std::uint64_t>(state_));
   ++epoch_;
   for (auto& s : services_) s->force_stop();
   if (host_->vmm_running() && domain_id_ != kNoDomain &&
@@ -265,17 +266,18 @@ void GuestOs::interrupt_for_vmm_failure() {
   ensure(state_ == OsState::kRunning,
          "interrupt_for_vmm_failure: OS not running (is " +
              std::string(to_string(state_)) + ")");
+  host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
+                    obs::EventKind::kLifecycle, "frozen by VMM failure",
+                    domain_id_);
   ++epoch_;  // abandon in-flight continuations; the vCPUs stopped cold
   domain_id_ = kNoDomain;  // the domain object died with the VMM
   state_ = OsState::kSuspended;
-  trace("frozen mid-flight: VMM failed, memory image preserved");
 }
 
 void GuestOs::on_suspend_event(std::function<void()> suspend_hypercall) {
   ensure(state_ == OsState::kRunning,
          "on_suspend_event: OS not running (is " + std::string(to_string(state_)) + ")");
   state_ = OsState::kSuspending;
-  trace("suspend handler: detaching devices");
   host_->sim().after(host_->calib().suspend_handler,
                     [this, hypercall = std::move(suspend_hypercall)] {
                       state_ = OsState::kSuspended;
@@ -295,7 +297,9 @@ void GuestOs::on_resume(DomainId new_id, std::function<void()> done) {
     if (mem_read(kSignaturePfn) != signature_) {
       integrity_ok_ = false;
       state_ = OsState::kCrashed;
-      trace("RESUME FAILED: memory image corrupted");
+      host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
+                        obs::EventKind::kLifecycle,
+                        "resume failed: image corrupt", domain_id_);
       done();
       return;
     }
@@ -308,7 +312,6 @@ void GuestOs::on_resume(DomainId new_id, std::function<void()> done) {
       evch.close(port);  // transient re-handshake port
     }
     state_ = OsState::kRunning;
-    trace("resumed; services continue without restart");
     done();
   });
 }

@@ -136,7 +136,6 @@ class GuestOs : public vmm::GuestHooks, public GuestMemoryBacking {
   void start_services_from(std::size_t index, std::function<void()> done);
   void stop_services_from(std::size_t index, std::function<void()> done);
   [[nodiscard]] bool memory_accessible() const;
-  void trace(const std::string& msg);
 
   vmm::Host* host_;  // never null; rebindable only via rebind_host()
   std::string name_;

@@ -1,10 +1,11 @@
 // Typed trace events: fixed-size POD records in a slab ring.
 //
-// This is the allocation-free replacement for the std::string hot path of
-// sim::Tracer (which stays available as a human-readable facade). A
-// TraceEvent is 64 bytes of plain data -- enum kind/category, a numeric
-// subject id, two integer payload words and a short inline label -- so
-// emitting one is a bounds check plus a memcpy-sized store. Storage is a
+// The one tracing path of the simulator: every layer (host, vmm, guest,
+// rejuv, cluster) records what happened as a TraceEvent, and
+// write_event_log() narrates the ring for humans. A TraceEvent is 64
+// bytes of plain data -- enum kind/category, a numeric subject id, two
+// integer payload words and a short inline label -- so emitting one is a
+// bounds check plus a memcpy-sized store. Storage is a
 // ring of lazily allocated fixed-size slabs: steady-state emission never
 // allocates, and a bounded ring recycles the oldest slab instead of
 // growing without limit on week-long simulations.
@@ -20,7 +21,7 @@
 
 namespace rh::obs {
 
-/// Which layer emitted the event (mirrors the Tracer's string categories).
+/// Which layer emitted the event.
 enum class Category : std::uint8_t {
   kHost,
   kVmm,

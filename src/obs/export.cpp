@@ -107,6 +107,18 @@ void write_chrome_trace(std::ostream& os, const Observer& obs, int pid,
   writer.add_process(pid, process_name, obs);
 }
 
+void write_event_log(std::ostream& os, const Observer& obs) {
+  // Integer milliseconds (rounded) rather than %.3f: the C locale's
+  // decimal point must not leak into the log.
+  char buf[96];
+  obs.events().for_each([&](const TraceEvent& e) {
+    const std::int64_t ms = (e.time + 500) / 1000;
+    std::snprintf(buf, sizeof buf, "[%" PRId64 ".%03" PRId64 "s] %s: %s\n",
+                  ms / 1000, ms % 1000, to_string(e.category), e.label);
+    os << buf;
+  });
+}
+
 void write_metrics_json(std::ostream& os, const MetricsRegistry& m) {
   char buf[256];
   os << "{\n  \"counters\": {";

@@ -1,5 +1,6 @@
-// Exporters: Chrome trace_event JSON (chrome://tracing, Perfetto) and a
-// flat metrics JSON consumed by benches and CI artifacts.
+// Exporters: Chrome trace_event JSON (chrome://tracing, Perfetto), a flat
+// metrics JSON consumed by benches and CI artifacts, and a plain-text event
+// log that narrates a run for humans.
 #pragma once
 
 #include <ostream>
@@ -44,6 +45,10 @@ class ChromeTraceWriter {
 /// Writes one Observer as a complete Chrome trace file.
 void write_chrome_trace(std::ostream& os, const Observer& obs, int pid = 0,
                         std::string_view process_name = "host");
+
+/// One line per retained event, oldest first:
+/// `[<seconds, 3 decimals>s] <category>: <label>`.
+void write_event_log(std::ostream& os, const Observer& obs);
 
 /// Flat metrics JSON: {"counters": {...}, "gauges": {...},
 /// "summaries": {...}, "histograms": {...}}.

@@ -29,10 +29,6 @@ void RebootDriver::run(std::function<void()> on_complete) {
   ensure(host_.up(), "RebootDriver::run: host is not up");
   started_ = true;
   started_at_ = host_.sim().now();
-  if (host_.tracer().enabled()) {
-    host_.tracer().emit(started_at_, "rejuv",
-                        std::string("begin ") + to_string(kind()));
-  }
   obs::Observer& obs = host_.obs();
   pass_span_ = obs.span_open(started_at_, obs::Phase::kPass, to_string(kind()));
   outer_ambient_ = obs.ambient();
@@ -49,12 +45,6 @@ void RebootDriver::run(std::function<void()> on_complete) {
   script_->run([this, on_complete = std::move(on_complete)] {
     completed_ = true;
     finished_at_ = host_.sim().now();
-    if (host_.tracer().enabled()) {
-      host_.tracer().emit(
-          finished_at_, "rejuv",
-          std::string("completed ") + to_string(kind()) + " in " +
-              std::to_string(sim::to_seconds(total_duration())) + " s");
-    }
     host_.obs().span_close(pass_span_, finished_at_);
     host_.obs().set_ambient(outer_ambient_);
     on_complete();

@@ -63,17 +63,9 @@ Supervisor::Supervisor(vmm::Host& host, std::vector<guest::GuestOs*> guests,
   for (const auto* g : guests_) ensure(g != nullptr, "Supervisor: null guest");
 }
 
-void Supervisor::trace(const std::string& msg) {
-  if (!host_.tracer().enabled()) return;
-  host_.tracer().emit(host_.sim().now(), "supervisor", msg);
-}
-
 void Supervisor::record(RecoveryAction action, const std::string& subject,
                         const std::string& detail) {
   report_.recoveries.push_back({action, host_.sim().now(), subject, detail});
-  if (host_.tracer().enabled()) {
-    trace(std::string(to_string(action)) + " [" + subject + "]: " + detail);
-  }
   // Mirror the typed RecoveryEvent into the trace stream and bump the
   // per-action counter that the availability sweeps aggregate.
   obs::Observer& obs = host_.obs();
@@ -150,7 +142,6 @@ void Supervisor::run(std::function<void(const SupervisorReport&)> done) {
   done_ = std::move(done);
   report_.attempted = config_.preferred;
   report_.started_at = host_.sim().now();
-  trace(std::string("begin supervised ") + to_string(config_.preferred));
   if (host_.obs().enabled()) {
     outer_ambient_ = host_.obs().ambient();
     pass_span_ = host_.obs().span_open(
@@ -198,10 +189,6 @@ void Supervisor::recover(std::function<void(const SupervisorReport&)> done) {
   for (auto* g : guests_) {
     if (g->state() == guest::OsState::kHalted) halted.push_back(g);
   }
-  if (host_.tracer().enabled()) {
-    trace("begin recovery of " + std::to_string(halted.size()) +
-          " halted guest(s)");
-  }
   if (host_.obs().enabled()) {
     outer_ambient_ = host_.obs().ambient();
     pass_span_ = host_.obs().span_open(report_.started_at, obs::Phase::kPass,
@@ -227,8 +214,6 @@ void Supervisor::respond_to_failure(
   done_ = std::move(done);
   report_.attempted = config_.preferred;
   report_.started_at = host_.sim().now();
-  trace(std::string("begin failure response (") + fault::to_string(kind) +
-        ")");
   if (host_.obs().enabled()) {
     outer_ambient_ = host_.obs().ambient();
     pass_span_ = host_.obs().span_open(
@@ -253,7 +238,6 @@ void Supervisor::handle_vmm_failure(fault::FaultKind kind) {
     // visible once the external watchdog fires, so the response starts
     // after the detection latency (the teardown is modelled at the
     // detection point).
-    trace("VMM hang suspected; waiting out watchdog detection");
     host_.sim().after(host_.jittered(config_.hang_detection),
                       std::move(proceed));
     return;
@@ -627,15 +611,16 @@ void Supervisor::sweep_stale_regions() {
   for (const auto& name : stale) {
     if (host_.faults().roll(fault::FaultKind::kPreservedRegionLeak,
                             host_.sim().now(), "sweep:" + name)) {
-      if (host_.tracer().enabled()) {
-        trace("stale region '" + name + "' survived the sweep (injected)");
-      }
+      host_.obs().emit(host_.sim().now(), obs::Category::kSupervisor,
+                       obs::EventKind::kFaultInjected, "stale region kept",
+                       -1,
+                       static_cast<std::uint64_t>(
+                           fault::FaultKind::kPreservedRegionLeak));
       continue;
     }
     discard_region(name);
-    if (host_.tracer().enabled()) {
-      trace("released stale region '" + name + "'");
-    }
+    host_.obs().emit(host_.sim().now(), obs::Category::kSupervisor,
+                     obs::EventKind::kMark, "released stale region");
   }
 }
 
@@ -667,13 +652,13 @@ void Supervisor::discard_preserved_image(const std::string& guest_name) {
         "stale/" + guest_name + "#" + std::to_string(host_.sim().now());
     stale.payload = region->payload;
     stale.frozen_frames = region->frozen_frames;
-    const std::string stale_name = stale.name;
     host_.preserved().erase(region_name);
     host_.preserved().put(std::move(stale));
-    if (host_.tracer().enabled()) {
-      trace("preserved region for '" + guest_name +
-            "' LEAKED (injected); parked as '" + stale_name + "'");
-    }
+    host_.obs().emit(host_.sim().now(), obs::Category::kSupervisor,
+                     obs::EventKind::kFaultInjected, "preserved region leaked",
+                     -1,
+                     static_cast<std::uint64_t>(
+                         fault::FaultKind::kPreservedRegionLeak));
     return;
   }
   discard_region(region_name);
@@ -940,14 +925,6 @@ void Supervisor::finish(RebootKind completed_kind) {
   report_.success = report_.unrecovered_vms.empty();
   report_.finished_at = host_.sim().now();
   completed_ = true;
-  if (host_.tracer().enabled()) {
-    trace(std::string("completed (") + to_string(completed_kind) + ", " +
-          (report_.success ? "all VMs recovered" :
-                             std::to_string(report_.unrecovered_vms.size()) +
-                                 " VM(s) unrecovered") +
-          ", " + std::to_string(report_.recoveries.size()) + " recoveries, " +
-          std::to_string(sim::to_seconds(report_.total_duration())) + " s)");
-  }
   obs::Observer& obs = host_.obs();
   if (obs.enabled()) {
     obs.span_close(rung_span_, report_.finished_at);

@@ -239,7 +239,6 @@ class Supervisor {
   [[nodiscard]] sim::Duration backoff(int attempt);
   void record(RecoveryAction action, const std::string& subject,
               const std::string& detail);
-  void trace(const std::string& msg);
   /// Closes the current ladder-rung span (if any) and opens a new one
   /// under the pass span; every mechanism the ladder descends through gets
   /// its own kLadderRung window.

@@ -17,7 +17,6 @@
 #include "obs/observer.hpp"
 #include "simcore/random.hpp"
 #include "simcore/simulation.hpp"
-#include "simcore/trace.hpp"
 #include "vmm/calibration.hpp"
 #include "vmm/vmm.hpp"
 
@@ -39,7 +38,6 @@ class Host {
   [[nodiscard]] hw::Machine& machine() { return machine_; }
   [[nodiscard]] mm::PreservedRegionRegistry& preserved() { return preserved_; }
   [[nodiscard]] ImageStore& images() { return images_; }
-  [[nodiscard]] sim::Tracer& tracer() { return tracer_; }
   /// Typed observability (events/spans/metrics); disabled by default so
   /// hot runs pay one branch per instrumentation point and nothing else.
   [[nodiscard]] obs::Observer& obs() { return obs_; }
@@ -192,7 +190,6 @@ class Host {
 
   sim::Simulation& sim_;
   Calibration calib_;
-  sim::Tracer tracer_;
   obs::Observer obs_;
   sim::Rng rng_;
   hw::Machine machine_;

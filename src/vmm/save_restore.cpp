@@ -31,7 +31,6 @@ void Vmm::save_domain_to_disk(DomainId id, ImageStore& store,
   ensure(d.running(), "save: domain '" + d.name() + "' is not running");
   ensure(d.hooks() != nullptr, "save: domain has no guest hooks");
   d.set_state(DomainState::kSuspending);
-  if (tracer_.enabled()) trace("xm save -> domain '" + d.name() + "'");
 
   sim_.after(calib_.suspend_event_delivery, [this, id, &store,
                                              done = std::move(done)] {
@@ -63,18 +62,17 @@ void Vmm::save_domain_to_disk(DomainId id, ImageStore& store,
         // file exists. The caller must check the store before restoring.
         if (faults_.roll(fault::FaultKind::kDiskWriteError, sim_.now(),
                          "save:" + domain(id).name())) {
-          if (tracer_.enabled()) {
-            trace("domain '" + domain(id).name() +
-                  "' save FAILED: disk write error (injected)");
-          }
+          obs_.emit(sim_.now(), obs::Category::kVmm,
+                    obs::EventKind::kFaultInjected, "save failed: disk write",
+                    id,
+                    static_cast<std::uint64_t>(fault::FaultKind::kDiskWriteError));
           destroy_domain(id);
           done();
           return;
         }
         store.put(capture_image(id));
-        if (tracer_.enabled()) {
-          trace("domain '" + domain(id).name() + "' image written to disk");
-        }
+        obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kDomain,
+                  "saved to disk", id);
         destroy_domain(id);
         done();
       });
@@ -126,10 +124,10 @@ void Vmm::restore_domain_from_disk(const std::string& name, ImageStore& store,
       // failure via kNoDomain so a supervisor can fall back to cold boot.
       if (faults_.roll(fault::FaultKind::kDiskReadError, sim_.now(),
                        "restore:" + name)) {
-        if (tracer_.enabled()) {
-          trace("domain '" + name +
-                "' restore FAILED: disk read error (injected)");
-        }
+        obs_.emit(sim_.now(), obs::Category::kVmm,
+                  obs::EventKind::kFaultInjected, "restore failed: disk read",
+                  id,
+                  static_cast<std::uint64_t>(fault::FaultKind::kDiskReadError));
         destroy_domain(id);
         store.erase(name);
         done(kNoDomain);
@@ -139,14 +137,10 @@ void Vmm::restore_domain_from_disk(const std::string& name, ImageStore& store,
       ensure(img != nullptr, "restore: saved image vanished mid-restore");
       apply_image(id, *img);
       store.erase(name);
-      if (tracer_.enabled()) {
-        trace("domain '" + name + "' image read from disk");
-      }
       hooks->on_resume(id, [this, id, done] {
         domain(id).set_state(DomainState::kRunning);
-        if (tracer_.enabled()) {
-          trace("domain '" + domain(id).name() + "' restored from disk");
-        }
+        obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kDomain,
+                  "restored from disk", id);
         done(id);
       });
     });
@@ -223,16 +217,11 @@ void Vmm::restore_domain_from_image(const SavedImage& image, GuestHooks* hooks,
                       static_cast<sim::Bytes>(img->pages.size()) * sim::kPageSize);
                   const DomainId id = d.id();
                   apply_image(id, *img);
-                  if (tracer_.enabled()) {
-                    trace("domain '" + img->domain_name +
-                          "' rebuilt from migrated image");
-                  }
                   hooks->on_resume(id, [this, id, done] {
                     domain(id).set_state(DomainState::kRunning);
-                    if (tracer_.enabled()) {
-                      trace("domain '" + domain(id).name() +
-                            "' live on destination");
-                    }
+                    obs_.emit(sim_.now(), obs::Category::kVmm,
+                              obs::EventKind::kDomain, "live on destination",
+                              id);
                     done(id);
                   });
                 });

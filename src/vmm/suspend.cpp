@@ -47,7 +47,6 @@ void Vmm::suspend_domain_on_memory(DomainId id, std::function<void()> done) {
   ensure(d.running(), "suspend: domain '" + d.name() + "' is not running");
   ensure(d.hooks() != nullptr, "suspend: domain has no guest hooks");
   d.set_state(DomainState::kSuspending);
-  if (tracer_.enabled()) trace("suspend event -> domain '" + d.name() + "'");
 
   sim_.after(calib_.suspend_event_delivery, [this, id, done = std::move(done)] {
     // The guest runs its suspend handler (detaching devices) and then
@@ -86,19 +85,17 @@ void Vmm::suspend_domain_on_memory(DomainId id, std::function<void()> done) {
         bool recorded = false;
         if (faults_.roll(fault::FaultKind::kFrameAllocFailure, sim_.now(),
                          "suspend:" + d.name())) {
-          if (tracer_.enabled()) {
-            trace("domain '" + d.name() +
-                  "' suspend frame allocation failed (injected); no image");
-          }
+          obs_.emit(sim_.now(), obs::Category::kVmm,
+                    obs::EventKind::kFaultInjected, "suspend image lost", id,
+                    static_cast<std::uint64_t>(
+                        fault::FaultKind::kFrameAllocFailure));
         } else {
           try {
             preserved_.put(std::move(region));
             recorded = true;
-          } catch (const mm::PreservedBudgetExceeded& e) {
-            if (tracer_.enabled()) {
-              trace("domain '" + d.name() +
-                    "' image rejected by preserved-frame budget: " + e.what());
-            }
+          } catch (const mm::PreservedBudgetExceeded&) {
+            obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kDomain,
+                      "image over preserved budget", id);
           }
         }
         // Bit-rot injection: the image is recorded but a payload byte flips
@@ -109,17 +106,17 @@ void Vmm::suspend_domain_on_memory(DomainId id, std::function<void()> done) {
             faults_.roll(fault::FaultKind::kCorruptPreservedImage, sim_.now(),
                          "suspend:" + d.name())) {
           preserved_.corrupt_payload(region_name);
-          if (tracer_.enabled()) {
-            trace("domain '" + d.name() +
-                  "' preserved image corrupted in RAM (injected)");
-          }
+          obs_.emit(sim_.now(), obs::Category::kVmm,
+                    obs::EventKind::kFaultInjected, "preserved image corrupted",
+                    id,
+                    static_cast<std::uint64_t>(
+                        fault::FaultKind::kCorruptPreservedImage));
         }
 
         d.set_state(DomainState::kSuspendedInMemory);
-        if (tracer_.enabled()) {
-          trace("domain '" + d.name() + "' suspended on-memory (" +
-                std::to_string(d.p2m().populated()) + " frames frozen)");
-        }
+        obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kDomain,
+                  "suspended on-memory", id,
+                  static_cast<std::uint64_t>(d.p2m().populated()));
         done();
       });
     });
@@ -174,37 +171,31 @@ std::size_t Vmm::snapshot_domains_for_recovery() {
     bool put_ok = false;
     if (faults_.roll(fault::FaultKind::kFrameAllocFailure, sim_.now(),
                      "crash:" + d.name())) {
-      if (tracer_.enabled()) {
-        trace("domain '" + d.name() +
-              "' crash snapshot lost (injected allocation failure)");
-      }
+      obs_.emit(sim_.now(), obs::Category::kVmm,
+                obs::EventKind::kFaultInjected, "crash snapshot lost", id,
+                static_cast<std::uint64_t>(fault::FaultKind::kFrameAllocFailure));
     } else {
       try {
         preserved_.put(std::move(region));
         put_ok = true;
         ++recorded;
-      } catch (const mm::PreservedBudgetExceeded& e) {
-        if (tracer_.enabled()) {
-          trace("domain '" + d.name() +
-                "' crash snapshot rejected by preserved-frame budget: " +
-                e.what());
-        }
+      } catch (const mm::PreservedBudgetExceeded&) {
+        obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kDomain,
+                  "snapshot over preserved budget", id);
       }
     }
     if (put_ok &&
         faults_.roll(fault::FaultKind::kCorruptPreservedImage, sim_.now(),
                      "crash:" + d.name())) {
       preserved_.corrupt_payload(region_name);
-      if (tracer_.enabled()) {
-        trace("domain '" + d.name() +
-              "' crash snapshot corrupted in RAM (injected)");
-      }
+      obs_.emit(sim_.now(), obs::Category::kVmm,
+                obs::EventKind::kFaultInjected, "crash snapshot corrupted", id,
+                static_cast<std::uint64_t>(
+                    fault::FaultKind::kCorruptPreservedImage));
     }
   }
-  if (tracer_.enabled()) {
-    trace("crash snapshot: " + std::to_string(recorded) +
-          " domain image(s) preserved in RAM");
-  }
+  obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kLifecycle,
+            "crash snapshot", -1, recorded);
   return recorded;
 }
 
@@ -305,9 +296,6 @@ void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
         register_domain_in_store(ref);
         note_domain_op();
         preserved_.erase(region_name);
-        if (tracer_.enabled()) {
-          trace("re-created domain '" + name + "' from preserved image");
-        }
 
         // Re-attaching memory scales (mildly) with image size and runs
         // outside the management queue; the guest resume handler follows.
@@ -317,9 +305,8 @@ void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
         sim_.after(claim_walk, [this, id, hooks, done] {
           hooks->on_resume(id, [this, id, done] {
             domain(id).set_state(DomainState::kRunning);
-            if (tracer_.enabled()) {
-              trace("domain '" + domain(id).name() + "' resumed on-memory");
-            }
+            obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kDomain,
+                      "resumed on-memory", id);
             done(id);
           });
         });

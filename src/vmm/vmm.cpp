@@ -19,14 +19,14 @@ void XendQueue::enqueue(sim::Duration d, sim::InlineCallback done) {
 
 Vmm::Vmm(sim::Simulation& sim, const Calibration& calib, hw::Machine& machine,
          mm::PreservedRegionRegistry& preserved, XenStore& xenstore,
-         sim::Tracer& tracer, sim::Rng& rng, fault::FaultInjector& faults,
+         obs::Observer& obs, sim::Rng& rng, fault::FaultInjector& faults,
          BootMode mode)
     : sim_(sim),
       calib_(calib),
       machine_(machine),
       preserved_(preserved),
       xenstore_(xenstore),
-      tracer_(tracer),
+      obs_(obs),
       rng_(rng),
       faults_(faults),
       mode_(mode),
@@ -36,11 +36,6 @@ Vmm::Vmm(sim::Simulation& sim, const Calibration& calib, hw::Machine& machine,
   // Hypervisor text/data and static tables occupy machine frames.
   allocator_.allocate(kVmmOwner,
                       calib_.vmm_reserved_memory / sim::kPageSize);
-}
-
-void Vmm::trace(const std::string& msg) {
-  if (!tracer_.enabled()) return;
-  tracer_.emit(sim_.now(), "vmm", msg);
 }
 
 sim::Duration Vmm::create_duration(sim::Bytes memory) const {
@@ -80,21 +75,17 @@ void Vmm::reserve_preserved_regions() {
                            ? allocator_.allocate_contiguous(kVmmOwner, meta_frames)
                            : allocator_.allocate(kVmmOwner, meta_frames);
       for (const auto mfn : got) machine_.memory().scrub(mfn);
-    } catch (const mm::OutOfMachineMemory& e) {
+    } catch (const mm::OutOfMachineMemory&) {
       for (const auto mfn : region->frozen_frames) allocator_.release(mfn);
       dropped.push_back(name);
-      if (tracer_.enabled()) {
-        trace("dropped preserved region '" + name + "' at reload: " + e.what());
-      }
+      obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kMark,
+                "dropped preserved region", -1, region->frozen_frames.size());
     }
   }
   for (const auto& name : dropped) preserved_.erase(name);
-  if (tracer_.enabled()) {
-    trace("re-reserved " + std::to_string(preserved_.size()) +
-          " preserved region(s)" +
-          (dropped.empty() ? std::string()
-                           : " (dropped " + std::to_string(dropped.size()) + ")"));
-  }
+  obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kLifecycle,
+            "re-reserved preserved regions", -1, preserved_.size(),
+            dropped.size());
 }
 
 void Vmm::build_dom0() {
@@ -110,22 +101,21 @@ void Vmm::scrub_free_memory() {
   // scrubber never touches them.
   const auto free_frames = allocator_.free_frame_list();
   for (const auto mfn : free_frames) machine_.memory().scrub(mfn);
-  if (tracer_.enabled()) {
-    trace("scrubbed " + std::to_string(free_frames.size()) + " free frames");
-  }
+  obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kMark,
+            "scrubbed free frames", -1, free_frames.size());
 }
 
 void Vmm::finish_boot() {
   ready_ = true;
   machine_.set_running();
-  trace("reboot of the VMM completed");
+  obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kLifecycle,
+            "reboot of the VMM completed", -1,
+            static_cast<std::uint64_t>(mode_));
 }
 
 void Vmm::boot(std::function<void()> on_ready) {
   ensure(!ready_, "Vmm::boot: already booted");
   ensure(static_cast<bool>(on_ready), "Vmm::boot: callback required");
-  trace(mode_ == BootMode::kQuickReload ? "boot begin (quick reload)"
-                                        : "boot begin (fresh)");
   sim_.after(calib_.vmm_core_init, [this, on_ready = std::move(on_ready)]() mutable {
     reserve_preserved_regions();
     build_dom0();
@@ -187,10 +177,8 @@ Domain& Vmm::make_domain(const std::string& name, sim::Bytes memory,
   }
   dom->exec().event_channels = dom->event_channels().state_token();
   dom->set_hooks(hooks);
-  if (tracer_.enabled()) {
-    trace("created domain '" + name + "' (" + std::to_string(id) + ", " +
-          std::to_string(sim::to_gib(memory)) + " GiB)");
-  }
+  obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kDomain,
+            "domain created", id, static_cast<std::uint64_t>(memory));
   Domain& ref = *dom;
   domains_[id] = std::move(dom);
   register_domain_in_store(ref);
@@ -265,7 +253,8 @@ void Vmm::destroy_domain(DomainId id) {
     heap_.leak(calib_.heap_leak_per_domain_cycle);
   }
   d.set_state(DomainState::kDead);
-  if (tracer_.enabled()) trace("destroyed domain '" + d.name() + "'");
+  obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kDomain,
+            "domain destroyed", id);
   xenstore_.remove("/local/domain/" + std::to_string(id));
   xenstore_.remove("/vm/" + d.name());
   note_domain_op();
@@ -312,9 +301,8 @@ sim::Bytes Vmm::trigger_error_path() {
   const sim::Bytes leak = calib_.heap_leak_per_error_path;
   if (leak > 0) {
     heap_.leak(leak);
-    if (tracer_.enabled()) {
-      trace("error path executed: leaked " + std::to_string(leak) + " bytes");
-    }
+    obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kMark,
+              "error path executed", -1, static_cast<std::uint64_t>(leak));
   }
   return leak;
 }
@@ -347,9 +335,6 @@ std::int64_t Vmm::compact_memory() {
       free_pool.push(mfn);
       ++moved;
     }
-  }
-  if (moved > 0 && tracer_.enabled()) {
-    trace("compaction moved " + std::to_string(moved) + " frames");
   }
   return moved;
 }
