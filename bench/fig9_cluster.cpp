@@ -5,16 +5,15 @@
 // measured host-level numbers. Part 2 runs an actual DES cluster behind a
 // load balancer through a rolling warm rejuvenation and reports the
 // observed throughput dip.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "cluster/cluster.hpp"
+#include "cluster/scale_scenario.hpp"
 #include "cluster/session_fleet.hpp"
 #include "cluster/throughput_model.hpp"
 #include "cluster/vm_migrator.hpp"
@@ -149,7 +148,7 @@ void parallel_once(std::size_t workers, std::uint64_t seed) {
 
   std::uint64_t digest = 0;
   const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
+    cluster::mix_digest(digest, v);
   };
   for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
     mix(static_cast<std::uint64_t>(engine.partition(p).now()));
@@ -171,116 +170,46 @@ void parallel_once(std::size_t workers, std::uint64_t seed) {
               static_cast<unsigned long long>(digest));
 }
 
-// --hosts/--shards: the datacenter-scale scenario (DESIGN.md §12). H
-// hosts of slimmed-down VMs behind S balancer shards (one partition
-// each), a struct-of-arrays SessionFleet holding the closed-loop
-// sessions, and wave-based rolling rejuvenation running through the
+// --hosts/--shards: the datacenter-scale scenario (DESIGN.md §12,
+// cluster::ScaleScenario) with a warm wave pass running through the
 // measurement window. Emits pooled p99/p999 availability and session
 // throughput into BENCH_scale.json plus a worker-count-invariant digest
 // line (CI diffs --workers 1 vs 4 at both --shards 1 and --shards 8).
 struct ScaleOptions {
-  int hosts = 100;
-  int shards = 4;
+  /// workers = 0 until the command line asks for the engine.
+  cluster::ScaleScenario::Config sc{.hosts = 100, .shards = 4, .workers = 0};
   int wave = 8;
-  int vms_per_host = 2;
-  std::uint64_t sessions = 0;  ///< 0: 1100 per host (>= 1M at 1000 hosts)
   double sim_seconds = 6.0;
-  std::size_t workers = 1;
-  std::uint64_t seed = rh::bench::kLegacyBenchSeed;
   std::string out = "BENCH_scale.json";
 };
 
 int run_scale(const ScaleOptions& o) {
   const auto wall_start = std::chrono::steady_clock::now();
-  sim::ParallelSimulation engine(
-      {.partitions = 1 + o.shards + o.hosts, .workers = o.workers});
-  cluster::Cluster::Config cfg;
-  cfg.hosts = o.hosts;
-  cfg.vms_per_host = o.vms_per_host;
-  cfg.seed = o.seed;
-  cfg.shards = o.shards;
-  cfg.engine = &engine;
-  // Slim per-host footprint so 1000 hosts fit: small machines, small VMs,
-  // little replicated content. The figure measures control-plane scaling,
-  // not per-host memory realism.
-  cfg.calib.machine.ram = sim::kGiB;
-  cfg.calib.dom0_memory = 256 * sim::kMiB;
-  cfg.vm_memory = 128 * sim::kMiB;
-  cfg.files_per_vm = 4;
-  cfg.file_size = 32 * sim::kKiB;
-  // A fatter lookahead (500 us one-way) keeps the window count -- and the
-  // per-window barrier cost across 1000+ partitions -- affordable.
-  cfg.calib.link.latency = 500 * sim::kMicrosecond;
-  cluster::Cluster cl(engine.partition(0), cfg);
-
-  const std::uint64_t sessions =
-      o.sessions != 0 ? o.sessions
-                      : 1100ull * static_cast<std::uint64_t>(o.hosts);
-  cluster::SessionFleet::Config fc;
-  fc.sessions = sessions;
-  fc.think_base = 20 * sim::kSecond;
-  fc.think_spread = 20 * sim::kSecond;
-  fc.retry_interval = sim::kSecond;
-  fc.tick = 250 * sim::kMillisecond;
-  cluster::SessionFleet fleet(*cl.sharded_balancer(), fc);
-
-  bool ready = false;
-  cl.start([&ready] { ready = true; });
-  engine.run_while([&ready] { return !ready; });
-  fleet.start(engine);
-  // Warm-up: let the staggered first requests reach steady state before
-  // the measurement window opens.
-  engine.run_until(engine.partition(0).now() + 2 * sim::kSecond);
-  const sim::SimTime meas_start = engine.partition(0).now();
-  fleet.begin_window(meas_start);
-
+  cluster::ScaleScenario scenario(o.sc);
   cluster::Cluster::WaveConfig wc;
   wc.wave_size = o.wave;
   wc.kind = rejuv::RebootKind::kWarm;
-  bool waves_done = false;
-  engine.run_on(0, [&cl, wc, &waves_done] {
-    cl.rolling_rejuvenation_waves(
-        wc, [&waves_done](const cluster::Cluster::WaveReport&) {
-          waves_done = true;
-        });
-  });
-  engine.run_until(meas_start + sim::from_seconds(o.sim_seconds));
-  const sim::SimTime meas_end = engine.partition(0).now();
+  scenario.run(wc, 2 * sim::kSecond, sim::from_seconds(o.sim_seconds));
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - wall_start)
                           .count();
 
-  const auto stats = fleet.stats(meas_end);
+  sim::ParallelSimulation& engine = scenario.engine();
+  cluster::Cluster& cl = scenario.cluster();
+  const auto stats = scenario.fleet()->stats(scenario.window_end());
   const auto& waves = cl.last_wave_report();
+  const std::uint64_t digest = scenario.digest();
+  const std::uint64_t sessions = cluster::ScaleScenario::sessions(o.sc);
 
-  std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-  };
-  for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
-    mix(static_cast<std::uint64_t>(engine.partition(p).now()));
-    mix(engine.partition(p).executed_events());
-  }
-  mix(fleet.state_digest());
-  mix(cl.sharded_balancer()->state_digest());
-  for (const auto& w : waves.waves) {
-    mix(static_cast<std::uint64_t>(w.started));
-    mix(static_cast<std::uint64_t>(w.finished));
-    for (const auto h : w.hosts) mix(h);
-  }
-  for (const auto d : cl.rejuvenation_durations()) {
-    mix(static_cast<std::uint64_t>(d));
-  }
-  mix(engine.messages_routed());
-
-  const double sim_window = sim::to_seconds(meas_end - meas_start);
+  const double sim_window =
+      sim::to_seconds(scenario.window_end() - scenario.window_start());
   const double sessions_per_sec =
       wall > 0 ? static_cast<double>(stats.completions) / wall : 0.0;
   std::printf("  scale: hosts=%d shards=%d wave=%d sessions=%llu workers=%zu "
-              "digest=%016llx\n",
-              o.hosts, o.shards, o.wave,
-              static_cast<unsigned long long>(sessions), o.workers,
-              static_cast<unsigned long long>(digest));
+              "digest=%s\n",
+              o.sc.hosts, o.sc.shards, o.wave,
+              static_cast<unsigned long long>(sessions), o.sc.workers,
+              bench::hex_digest(digest).c_str());
   std::printf("    window %.1f sim-s in %.1f wall-s; %llu completions "
               "(%.0f sessions/s wall, %.0f/sim-s), %llu failures\n",
               sim_window, wall,
@@ -303,7 +232,8 @@ int run_scale(const ScaleOptions& o) {
   std::printf("    waves: %zu started, %zu hosts rejuvenated (K=%d)%s; "
               "federated dispatches %llu, rejected %llu\n",
               waves.waves.size(), waves.hosts_rejuvenated, o.wave,
-              waves_done ? ", pass complete" : ", pass still rolling",
+              scenario.waves_done() ? ", pass complete"
+                                    : ", pass still rolling",
               static_cast<unsigned long long>(
                   cl.sharded_balancer()->federated()),
               static_cast<unsigned long long>(
@@ -322,19 +252,9 @@ int run_scale(const ScaleOptions& o) {
     std::fprintf(stderr, "cannot write %s\n", o.out.c_str());
     return 1;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(digest));
-  js << "{\n"
-     << "  \"benchmark\": \"fig9_scale\",\n"
-     << "  \"hosts\": " << o.hosts << ",\n"
-     << "  \"shards\": " << o.shards << ",\n"
-     << "  \"vms_per_host\": " << o.vms_per_host << ",\n"
-     << "  \"wave_size\": " << o.wave << ",\n"
-     << "  \"workers\": " << o.workers << ",\n"
-     << "  \"concurrent_sessions\": " << sessions << ",\n"
-     << "  \"lookahead_us\": "
-     << static_cast<long long>(cfg.calib.link.latency) << ",\n"
+  bench::write_scale_json_header(js, "fig9_scale", o.sc, o.wave);
+  js << "  \"lookahead_us\": "
+     << static_cast<long long>(cluster::ScaleScenario::kLinkLatency) << ",\n"
      << "  \"sim_seconds\": " << sim_window << ",\n"
      << "  \"wall_seconds\": " << wall << ",\n"
      << "  \"completions\": " << stats.completions << ",\n"
@@ -364,9 +284,7 @@ int run_scale(const ScaleOptions& o) {
      << ",\n"
      << "  \"events\": " << engine.total_executed_events() << ",\n"
      << "  \"windows\": " << engine.windows_executed() << ",\n"
-     << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-     << ",\n"
-     << "  \"digest\": \"" << buf << "\"\n"
+     << "  \"digest\": \"" << bench::hex_digest(digest) << "\"\n"
      << "}\n";
   std::printf("    wrote %s\n", o.out.c_str());
   return 0;
@@ -455,50 +373,33 @@ int main(int argc, char** argv) {
   // partitioned-engine scenario and print its digest (CI diffs N=1 vs
   // N=4). --hosts/--shards/...: run ONLY the datacenter-scale scenario
   // (sharded balancer + session fleet + waves) and write BENCH_scale.json.
-  // All are stripped before SweepOptions so the default invocation (and
-  // its output) is untouched.
+  // Without them the default invocation (and its output) is untouched.
   std::string trace_path;
-  std::size_t par_workers = 0;
   ScaleOptions scale;
-  bool scale_mode = false;
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      par_workers = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      scale.hosts = std::atoi(argv[++i]);
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      scale.shards = std::atoi(argv[++i]);
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--wave") == 0 && i + 1 < argc) {
-      scale.wave = std::atoi(argv[++i]);
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      scale.sessions = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--sim-seconds") == 0 && i + 1 < argc) {
-      scale.sim_seconds = std::atof(argv[++i]);
-      scale_mode = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      scale.out = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const auto opt = rh::bench::SweepOptions::parse(
-      static_cast<int>(rest.size()), rest.data());
+  rh::bench::SweepOptions opt;
+  rh::bench::Cli cli;
+  cli.add("--trace", trace_path)
+      .add("--workers", scale.sc.workers)
+      .add("--hosts", scale.sc.hosts)
+      .add("--shards", scale.sc.shards)
+      .add("--wave", scale.wave)
+      .add("--sessions", scale.sc.sessions)
+      .add("--sim-seconds", scale.sim_seconds)
+      .add("--out", scale.out);
+  opt.parse(argc, argv, cli);
+  const bool scale_mode =
+      cli.given("--hosts") || cli.given("--shards") || cli.given("--wave") ||
+      cli.given("--sessions") || cli.given("--sim-seconds");
+  const std::size_t par_workers = scale.sc.workers;
   if (scale_mode) {
-    if (scale.hosts < 1 || scale.shards < 1 || scale.wave < 1 ||
+    if (scale.sc.hosts < 1 || scale.sc.shards < 1 || scale.wave < 1 ||
         scale.sim_seconds <= 0) {
       std::fprintf(stderr, "scale mode needs hosts/shards/wave >= 1 and "
                            "sim-seconds > 0\n");
       return 2;
     }
-    scale.workers = par_workers > 0 ? par_workers : 1;
-    scale.seed = opt.root_seed;
+    scale.sc.workers = std::max<std::size_t>(par_workers, 1);
+    scale.sc.seed = opt.root_seed;
     return run_scale(scale);
   }
   if (par_workers > 0) {

@@ -2,12 +2,12 @@
 // (micro-recovery vs the legacy warm/saved/cold ladders under steady
 // unplanned VMM crashes), scaled out to the 1000-host fig9 scenario.
 //
-// For each (steady fault rate x recovery ladder) cell the full scale run
-// is rebuilt: H slim hosts behind S balancer shards, a struct-of-arrays
-// SessionFleet of closed-loop sessions, wave-based rolling rejuvenation
-// with failure-reactive admission, and a per-host SteadyFaultProcess +
-// RecoveryDriver crashing and recovering hosts *while* the waves and the
-// fleet are in flight. The fleet attributes every session outage as
+// For each (steady fault rate x recovery ladder) cell the full
+// cluster::ScaleScenario is rebuilt: H slim hosts behind S balancer
+// shards, a struct-of-arrays SessionFleet of closed-loop sessions,
+// wave-based rolling rejuvenation with failure-reactive admission, and a
+// per-host SteadyFaultProcess + RecoveryDriver crashing and recovering
+// hosts *while* the waves and the fleet are in flight. The fleet attributes every session outage as
 // planned (wave) or unplanned (crash); the crossover figure is per-ladder
 // p99 availability vs fault rate.
 //
@@ -18,48 +18,27 @@
 // `digest=` line CI can diff across --workers 1 vs 4.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "cluster/cluster.hpp"
-#include "cluster/session_fleet.hpp"
-#include "simcore/parallel.hpp"
+#include "cluster/scale_scenario.hpp"
 
 namespace {
 
 using namespace rh;
-
-struct Ladder {
-  const char* name;
-  rejuv::RebootKind kind;
-  bool micro;
-};
-
-// Same rungs as tab_microrecovery: micro differs from warm only once a
-// crash actually happens, so the rate-0 column is the control.
-constexpr Ladder kLadders[] = {
-    {"micro", rejuv::RebootKind::kWarm, true},
-    {"warm", rejuv::RebootKind::kWarm, false},
-    {"saved", rejuv::RebootKind::kSaved, false},
-    {"cold", rejuv::RebootKind::kCold, false},
-};
+using bench::Ladder;
+using bench::kLadders;
 
 struct Options {
-  int hosts = 1000;
-  int shards = 8;
+  cluster::ScaleScenario::Config sc;
   int wave = 25;
-  int vms_per_host = 2;
-  std::uint64_t sessions = 0;  ///< 0: 1100 per host
   double sim_seconds = 90.0;
   double check_interval_s = 2.0;
   std::vector<double> rates = {0.0, 0.1, 0.4};
-  std::size_t workers = 1;
-  std::uint64_t seed = rh::bench::kLegacyBenchSeed;
   std::string out = "BENCH_crashscale.json";
 };
 
@@ -81,72 +60,27 @@ struct Cell {
 
 Cell run_cell(const Options& o, const Ladder& ladder, double rate) {
   const auto wall_start = std::chrono::steady_clock::now();
-  sim::ParallelSimulation engine(
-      {.partitions = 1 + o.shards + o.hosts, .workers = o.workers});
-  cluster::Cluster::Config cfg;
-  cfg.hosts = o.hosts;
-  cfg.vms_per_host = o.vms_per_host;
-  cfg.seed = o.seed;
-  cfg.shards = o.shards;
-  cfg.engine = &engine;
-  // Same slim per-host calibration as the fig9 scale mode, so the rate-0
-  // cells measure the identical fault-free scenario.
-  cfg.calib.machine.ram = sim::kGiB;
-  cfg.calib.dom0_memory = 256 * sim::kMiB;
-  cfg.vm_memory = 128 * sim::kMiB;
-  cfg.files_per_vm = 4;
-  cfg.file_size = 32 * sim::kKiB;
-  cfg.calib.link.latency = 500 * sim::kMicrosecond;
-  // Hangs ride at half the crash rate, like tab_microrecovery.
-  cfg.faults.vmm_crash_rate = rate;
-  cfg.faults.vmm_hang_rate = rate / 2.0;
-  cluster::Cluster cl(engine.partition(0), cfg);
+  cluster::ScaleScenario::Config cfg = o.sc;
+  cfg.fault_rate = rate;
+  cluster::ScaleScenario scenario(cfg);
+  cluster::Cluster& cl = scenario.cluster();
 
-  const std::uint64_t sessions =
-      o.sessions != 0 ? o.sessions
-                      : 1100ull * static_cast<std::uint64_t>(o.hosts);
-  cluster::SessionFleet::Config fc;
-  fc.sessions = sessions;
-  fc.think_base = 20 * sim::kSecond;
-  fc.think_spread = 20 * sim::kSecond;
-  fc.retry_interval = sim::kSecond;
-  fc.tick = 250 * sim::kMillisecond;
-  cluster::SessionFleet fleet(*cl.sharded_balancer(), fc);
-
-  bool ready = false;
-  cl.start([&ready] { ready = true; });
-  engine.run_while([&ready] { return !ready; });
-  fleet.start(engine);
-
-  rejuv::SupervisorConfig scfg;
-  scfg.preferred = ladder.kind;
-  if (ladder.micro) {
-    scfg.micro.enabled = true;
-    scfg.micro.success_rate = 0.85;  // ReHype's reported recovery rate
-  }
+  // Armed at every rate, so the rate-0 cells are the control: nothing
+  // fires and no RNG is drawn.
   cluster::Cluster::SteadyFaultsConfig sfc;
   sfc.process.check_interval = sim::from_seconds(o.check_interval_s);
-  sfc.supervisor = scfg;
+  sfc.supervisor = ladder.supervisor();
   cl.start_steady_faults(sfc);
-
-  engine.run_until(engine.partition(0).now() + 2 * sim::kSecond);
-  const sim::SimTime meas_start = engine.partition(0).now();
-  fleet.begin_window(meas_start);
 
   cluster::Cluster::WaveConfig wc;
   wc.wave_size = o.wave;
   wc.kind = ladder.kind;
-  wc.supervisor = scfg;
-  engine.run_on(0, [&cl, wc] {
-    cl.rolling_rejuvenation_waves(
-        wc, [](const cluster::Cluster::WaveReport&) {});
-  });
-  engine.run_until(meas_start + sim::from_seconds(o.sim_seconds));
-  const sim::SimTime meas_end = engine.partition(0).now();
+  wc.supervisor = ladder.supervisor();
+  scenario.run(wc, 2 * sim::kSecond, sim::from_seconds(o.sim_seconds));
 
   Cell cell;
   cell.rate = rate;
-  cell.stats = fleet.stats(meas_end);
+  cell.stats = scenario.fleet()->stats(scenario.window_end());
   cell.unplanned = cl.unplanned_report();
   const auto& waves = cl.last_wave_report();
   cell.waves_started = waves.waves.size();
@@ -157,85 +91,32 @@ Cell run_cell(const Options& o, const Ladder& ladder, double rate) {
   cell.federated = cl.sharded_balancer()->federated();
   cell.rejected = cl.sharded_balancer()->rejected();
   cell.crash_broadcasts = cl.sharded_balancer()->crash_broadcasts();
-
-  std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-  };
-  for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
-    mix(static_cast<std::uint64_t>(engine.partition(p).now()));
-    mix(engine.partition(p).executed_events());
-  }
-  mix(fleet.state_digest());
-  mix(cl.sharded_balancer()->state_digest());
-  mix(cell.unplanned.failures);
-  mix(cell.unplanned.absorbed);
-  mix(cell.unplanned.recoveries);
-  mix(cell.unplanned.micro_recoveries);
-  mix(cell.unplanned.unrecovered);
-  mix(static_cast<std::uint64_t>(cell.unplanned.downtime));
-  for (const auto& w : waves.waves) {
-    mix(static_cast<std::uint64_t>(w.started));
-    mix(static_cast<std::uint64_t>(w.finished));
-    for (const auto h : w.hosts) mix(h);
-  }
-  for (const auto d : cl.rejuvenation_durations()) {
-    mix(static_cast<std::uint64_t>(d));
-  }
-  mix(engine.messages_routed());
-  cell.digest = digest;
+  cell.digest = scenario.digest();
   cell.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             wall_start)
                   .count();
   return cell;
 }
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [--hosts H] [--shards S] [--wave K] [--sessions M]\n"
-      "          [--sim-seconds T] [--check-interval-s C]\n"
-      "          [--fault-rate r1,r2,...] [--workers W] [--out FILE]\n",
-      argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&i, argc, argv]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (std::strcmp(argv[i], "--hosts") == 0) {
-      if (const char* v = next()) o.hosts = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (const char* v = next()) o.shards = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--wave") == 0) {
-      if (const char* v = next()) o.wave = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--sessions") == 0) {
-      if (const char* v = next()) o.sessions = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--sim-seconds") == 0) {
-      if (const char* v = next()) o.sim_seconds = std::atof(v);
-    } else if (std::strcmp(argv[i], "--check-interval-s") == 0) {
-      if (const char* v = next()) o.check_interval_s = std::atof(v);
-    } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
-      if (const char* v = next()) {
-        o.rates = rh::bench::parse_value_list("--fault-rate", v);
-      }
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      if (const char* v = next()) o.workers = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      if (const char* v = next()) o.seed = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      if (const char* v = next()) o.out = v;
-    } else {
-      usage(argv[0]);
-      return 2;
-    }
-  }
-  if (o.hosts < 1 || o.shards < 1 || o.wave < 1 || o.workers < 1 ||
-      o.rates.empty()) {
-    usage(argv[0]);
+  rh::bench::Cli()
+      .add("--hosts", o.sc.hosts)
+      .add("--shards", o.sc.shards)
+      .add("--wave", o.wave)
+      .add("--sessions", o.sc.sessions)
+      .add("--sim-seconds", o.sim_seconds)
+      .add("--check-interval-s", o.check_interval_s)
+      .add("--fault-rate", o.rates)
+      .add("--workers", o.sc.workers)
+      .add("--seed", o.sc.seed)
+      .add("--out", o.out)
+      .parse(argc, argv);
+  if (o.sc.hosts < 1 || o.sc.shards < 1 || o.wave < 1 || o.sc.workers < 1) {
+    std::fprintf(stderr, "--hosts, --shards, --wave and --workers must be "
+                         ">= 1\n");
     return 2;
   }
   if (o.sim_seconds <= 0 || o.check_interval_s <= 0) {
@@ -246,16 +127,13 @@ int main(int argc, char** argv) {
   const auto wall_start = std::chrono::steady_clock::now();
   std::printf("fig_crashscale: hosts=%d shards=%d wave=%d workers=%zu "
               "check=%.1fs window=%.1fs\n",
-              o.hosts, o.shards, o.wave, o.workers, o.check_interval_s,
-              o.sim_seconds);
+              o.sc.hosts, o.sc.shards, o.wave, o.sc.workers,
+              o.check_interval_s, o.sim_seconds);
 
   const double base_rate = o.rates.back();
   double micro_p99_at_base = 0.0;
   double cold_p99_at_base = 0.0;
   std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-  };
 
   std::vector<std::vector<Cell>> cells(std::size(kLadders));
   for (std::size_t l = 0; l < std::size(kLadders); ++l) {
@@ -263,19 +141,19 @@ int main(int argc, char** argv) {
       const Cell c = run_cell(o, kLadders[l], rate);
       std::printf("  %-5s rate=%.2f: pooled=%.6f p99=%.6f p999=%.6f "
                   "unplanned(f=%llu r=%llu u=%llu) pauses=%zu "
-                  "digest=%016llx (%.1fs)\n",
+                  "digest=%s (%.1fs)\n",
                   kLadders[l].name, rate, c.stats.pooled_availability,
                   c.stats.availability_p99, c.stats.availability_p999,
                   static_cast<unsigned long long>(c.unplanned.failures),
                   static_cast<unsigned long long>(c.unplanned.recoveries),
                   static_cast<unsigned long long>(c.unplanned.unrecovered),
-                  c.admission_pauses,
-                  static_cast<unsigned long long>(c.digest), c.wall);
-      mix(c.digest);
+                  c.admission_pauses, rh::bench::hex_digest(c.digest).c_str(),
+                  c.wall);
+      cluster::mix_digest(digest, c.digest);
       if (rate == base_rate) {
-        if (std::strcmp(kLadders[l].name, "micro") == 0) {
+        if (std::string_view(kLadders[l].name) == "micro") {
           micro_p99_at_base = c.stats.availability_p99;
-        } else if (std::strcmp(kLadders[l].name, "cold") == 0) {
+        } else if (std::string_view(kLadders[l].name) == "cold") {
           cold_p99_at_base = c.stats.availability_p99;
         }
       }
@@ -295,37 +173,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", o.out.c_str());
     return 1;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(digest));
-  js << "{\n"
-     << "  \"benchmark\": \"fig_crashscale\",\n"
-     << "  \"hosts\": " << o.hosts << ",\n"
-     << "  \"shards\": " << o.shards << ",\n"
-     << "  \"wave_size\": " << o.wave << ",\n"
-     << "  \"vms_per_host\": " << o.vms_per_host << ",\n"
-     << "  \"workers\": " << o.workers << ",\n"
-     << "  \"concurrent_sessions\": "
-     << (o.sessions != 0 ? o.sessions
-                         : 1100ull * static_cast<std::uint64_t>(o.hosts))
-     << ",\n"
-     << "  \"sim_seconds\": " << o.sim_seconds << ",\n"
+  rh::bench::write_scale_json_header(js, "fig_crashscale", o.sc, o.wave);
+  js << "  \"sim_seconds\": " << o.sim_seconds << ",\n"
      << "  \"check_interval_s\": " << o.check_interval_s << ",\n"
      << "  \"base_rate\": " << base_rate << ",\n"
      << "  \"p99_availability_at_base_rate\": " << micro_p99_at_base << ",\n"
      << "  \"cold_p99_availability_at_base_rate\": " << cold_p99_at_base
      << ",\n"
      << "  \"wall_seconds\": " << wall << ",\n"
-     << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-     << ",\n"
      << "  \"ladders\": [\n";
   for (std::size_t l = 0; l < std::size(kLadders); ++l) {
     js << "    {\"name\": \"" << kLadders[l].name << "\", \"points\": [\n";
     for (std::size_t i = 0; i < cells[l].size(); ++i) {
       const Cell& c = cells[l][i];
-      char cell_digest[64];
-      std::snprintf(cell_digest, sizeof cell_digest, "%016llx",
-                    static_cast<unsigned long long>(c.digest));
       js << "      {\"rate\": " << c.rate
          << ", \"pooled_availability\": " << c.stats.pooled_availability
          << ", \"p99_availability\": " << c.stats.availability_p99
@@ -349,13 +209,13 @@ int main(int argc, char** argv) {
          << ", \"rejected_dispatches\": " << c.rejected
          << ", \"crash_broadcasts\": " << c.crash_broadcasts
          << ", \"wall_seconds\": " << c.wall
-         << ", \"digest\": \"" << cell_digest << "\"}"
+         << ", \"digest\": \"" << rh::bench::hex_digest(c.digest) << "\"}"
          << (i + 1 < cells[l].size() ? ",\n" : "\n");
     }
     js << "    ]}" << (l + 1 < std::size(kLadders) ? ",\n" : "\n");
   }
   js << "  ],\n"
-     << "  \"digest\": \"" << buf << "\"\n"
+     << "  \"digest\": \"" << rh::bench::hex_digest(digest) << "\"\n"
      << "}\n";
   std::printf("  wrote %s\n", o.out.c_str());
   return 0;

@@ -119,24 +119,15 @@ RunResult run_one(rejuv::RebootKind kind, double ratio, std::uint64_t seed) {
 int main(int argc, char** argv) {
   std::vector<double> ratios = {1.0, 1.2, 1.5, 2.0};
   std::string out_path;
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--overcommit") == 0 && i + 1 < argc) {
-      ratios = rh::bench::parse_value_list("--overcommit", argv[++i]);
-      for (const double r : ratios) {
-        if (r < 1.0) {
-          std::fprintf(stderr, "--overcommit: ratio %g below 1.0\n", r);
-          return 2;
-        }
-      }
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
+  rh::bench::SweepOptions opt;
+  opt.parse(argc, argv,
+            rh::bench::Cli().add("--overcommit", ratios).add("--out", out_path));
+  for (const double r : ratios) {
+    if (r < 1.0) {
+      std::fprintf(stderr, "--overcommit: ratio %g below 1.0\n", r);
+      return 2;
     }
   }
-  const auto opt = rh::bench::SweepOptions::parse(
-      static_cast<int>(rest.size()), rest.data());
 
   rh::bench::print_header(
       "Overcommit sweep: availability and downtime vs overcommit ratio "

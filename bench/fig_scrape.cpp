@@ -3,7 +3,8 @@
 // simulator's omniscient wire-tap, and how fast does scraping *see*
 // failures?
 //
-// For each steady fault rate the fig9-scale scenario (H slim hosts
+// For each steady fault rate the fig9-scale scenario
+// (cluster::ScaleScenario: H slim hosts
 // behind S balancer shards, a closed-loop SessionFleet, wave-based
 // rolling rejuvenation with the micro-recovery ladder) runs once as a
 // *baseline* -- scraping off, waves ordered from the wire-tap -- and
@@ -29,39 +30,33 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/metrics_scraper.hpp"
-#include "cluster/session_fleet.hpp"
-#include "simcore/parallel.hpp"
+#include "cluster/scale_scenario.hpp"
 
 namespace {
 
 using namespace rh;
 
+/// Flight records copied into the sidecar artifact, at most.
+constexpr std::size_t kMaxFlightRecords = 3;
+/// Every cell runs the micro ladder.
+constexpr const bench::Ladder& kMicro = bench::kLadders[0];
+
 struct Options {
-  int hosts = 1000;
-  int shards = 8;
+  cluster::ScaleScenario::Config sc;
   int wave = 25;
-  int vms_per_host = 2;
-  std::uint64_t sessions = 0;  ///< 0: 1100 per host
   double sim_seconds = 60.0;
   double check_interval_s = 2.0;
   std::vector<double> rates = {0.0, 0.4};
   std::vector<double> intervals_s = {5.0, 15.0};
-  std::size_t workers = 1;
-  std::uint64_t seed = rh::bench::kLegacyBenchSeed;
-  std::size_t max_flight_records = 3;
   std::string out = "BENCH_scrape.json";
   std::string flight_out = "BENCH_scrape_flight.json";
 };
@@ -95,54 +90,16 @@ Cell run_cell(const Options& o, double rate, double interval_s,
               std::vector<std::string>* flight_dumps, bool idle = false) {
   const auto wall_start = std::chrono::steady_clock::now();
   const bool scraped = interval_s > 0;
-  sim::ParallelSimulation engine(
-      {.partitions = 1 + o.shards + o.hosts, .workers = o.workers});
-  cluster::Cluster::Config cfg;
-  cfg.hosts = o.hosts;
-  cfg.vms_per_host = o.vms_per_host;
-  cfg.seed = o.seed;
-  cfg.shards = o.shards;
-  cfg.engine = &engine;
-  // Same slim per-host calibration as fig_crashscale, so the baseline
-  // cells measure the identical wire-tap scenario.
-  cfg.calib.machine.ram = sim::kGiB;
-  cfg.calib.dom0_memory = 256 * sim::kMiB;
-  cfg.vm_memory = 128 * sim::kMiB;
-  cfg.files_per_vm = 4;
-  cfg.file_size = 32 * sim::kKiB;
-  cfg.calib.link.latency = 500 * sim::kMicrosecond;
-  cfg.faults.vmm_crash_rate = rate;
-  cfg.faults.vmm_hang_rate = rate / 2.0;
-  cluster::Cluster cl(engine.partition(0), cfg);
+  cluster::ScaleScenario::Config cfg = o.sc;
+  cfg.fleet = !idle;
+  cfg.fault_rate = rate;
+  cluster::ScaleScenario scenario(cfg);
+  cluster::Cluster& cl = scenario.cluster();
 
-  std::unique_ptr<cluster::SessionFleet> fleet;
-  if (!idle) {
-    const std::uint64_t sessions =
-        o.sessions != 0 ? o.sessions
-                        : 1100ull * static_cast<std::uint64_t>(o.hosts);
-    cluster::SessionFleet::Config fc;
-    fc.sessions = sessions;
-    fc.think_base = 20 * sim::kSecond;
-    fc.think_spread = 20 * sim::kSecond;
-    fc.retry_interval = sim::kSecond;
-    fc.tick = 250 * sim::kMillisecond;
-    fleet = std::make_unique<cluster::SessionFleet>(*cl.sharded_balancer(),
-                                                    fc);
-  }
-
-  bool ready = false;
-  cl.start([&ready] { ready = true; });
-  engine.run_while([&ready] { return !ready; });
-  if (fleet != nullptr) fleet->start(engine);
-
-  rejuv::SupervisorConfig scfg;
-  scfg.preferred = rejuv::RebootKind::kWarm;
-  scfg.micro.enabled = true;
-  scfg.micro.success_rate = 0.85;  // ReHype's reported recovery rate
   if (rate > 0) {
     cluster::Cluster::SteadyFaultsConfig sfc;
     sfc.process.check_interval = sim::from_seconds(o.check_interval_s);
-    sfc.supervisor = scfg;
+    sfc.supervisor = kMicro.supervisor();
     cl.start_steady_faults(sfc);
   }
   if (scraped) {
@@ -168,28 +125,22 @@ Cell run_cell(const Options& o, double rate, double interval_s,
   for (const double is : o.intervals_s) {
     warmup_s = std::max(warmup_s, is + 1.0);
   }
-  engine.run_until(engine.partition(0).now() + sim::from_seconds(warmup_s));
-  const sim::SimTime meas_start = engine.partition(0).now();
-  if (fleet != nullptr) fleet->begin_window(meas_start);
-
   cluster::Cluster::WaveConfig wc;
   wc.wave_size = o.wave;
-  wc.kind = rejuv::RebootKind::kWarm;
-  wc.supervisor = scfg;
+  wc.kind = kMicro.kind;
+  wc.supervisor = kMicro.supervisor();
   if (scraped) {
     wc.signals = cluster::Cluster::WaveSignalSource::kScraped;
   }
-  engine.run_on(0, [&cl, wc] {
-    cl.rolling_rejuvenation_waves(
-        wc, [](const cluster::Cluster::WaveReport&) {});
-  });
-  engine.run_until(meas_start + sim::from_seconds(o.sim_seconds));
-  const sim::SimTime meas_end = engine.partition(0).now();
+  scenario.run(wc, sim::from_seconds(warmup_s),
+               sim::from_seconds(o.sim_seconds));
 
   Cell cell;
   cell.rate = rate;
   cell.interval_s = interval_s;
-  if (fleet != nullptr) cell.stats = fleet->stats(meas_end);
+  if (scenario.fleet() != nullptr) {
+    cell.stats = scenario.fleet()->stats(scenario.window_end());
+  }
   cell.unplanned = cl.unplanned_report();
   const auto& waves = cl.last_wave_report();
   cell.waves_started = waves.waves.size();
@@ -198,25 +149,7 @@ Cell run_cell(const Options& o, double rate, double interval_s,
   for (const auto& w : waves.waves) {
     cell.waves.emplace_back(w.hosts.begin(), w.hosts.end());
   }
-
-  std::uint64_t digest = 0;
-  const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-  };
-  for (std::int32_t p = 0; p < engine.partition_count(); ++p) {
-    mix(static_cast<std::uint64_t>(engine.partition(p).now()));
-    mix(engine.partition(p).executed_events());
-    cell.executed_events += engine.partition(p).executed_events();
-  }
-  if (fleet != nullptr) mix(fleet->state_digest());
-  mix(cl.sharded_balancer()->state_digest());
-  mix(cell.unplanned.failures);
-  mix(cell.unplanned.recoveries);
-  mix(cell.unplanned.unrecovered);
-  for (const auto& w : waves.waves) {
-    mix(static_cast<std::uint64_t>(w.started));
-    for (const auto h : w.hosts) mix(h);
-  }
+  cell.executed_events = scenario.engine().total_executed_events();
 
   if (scraped) {
     const cluster::MetricsScraper& sc = *cl.scraper();
@@ -228,18 +161,16 @@ Cell run_cell(const Options& o, double rate, double interval_s,
     cell.dark_hosts = sc.slo().dark_hosts();
     cell.burn_rate = sc.slo().burn_rate();
     cell.flight_records = sc.flight_records().size();
-    mix(sc.state_digest());
     if (flight_dumps != nullptr) {
       for (const auto& fr : sc.flight_records()) {
-        if (flight_dumps->size() >= o.max_flight_records) break;
+        if (flight_dumps->size() >= kMaxFlightRecords) break;
         std::ostringstream os;
         sc.write_flight_record(os, fr.host);
         flight_dumps->push_back(os.str());
       }
     }
   }
-  mix(engine.messages_routed());
-  cell.digest = digest;
+  cell.digest = scenario.digest();
   cell.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             wall_start)
                   .count();
@@ -271,59 +202,27 @@ double wave_order_fidelity(const std::vector<std::vector<std::size_t>>& base,
   return total / static_cast<double>(n);
 }
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [--hosts H] [--shards S] [--wave K] [--sessions M]\n"
-      "          [--sim-seconds T] [--check-interval-s C]\n"
-      "          [--fault-rate r1,r2,...] [--interval-s i1,i2,...]\n"
-      "          [--workers W] [--out FILE] [--flight-out FILE]\n",
-      argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&i, argc, argv]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (std::strcmp(argv[i], "--hosts") == 0) {
-      if (const char* v = next()) o.hosts = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (const char* v = next()) o.shards = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--wave") == 0) {
-      if (const char* v = next()) o.wave = std::atoi(v);
-    } else if (std::strcmp(argv[i], "--sessions") == 0) {
-      if (const char* v = next()) o.sessions = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--sim-seconds") == 0) {
-      if (const char* v = next()) o.sim_seconds = std::atof(v);
-    } else if (std::strcmp(argv[i], "--check-interval-s") == 0) {
-      if (const char* v = next()) o.check_interval_s = std::atof(v);
-    } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
-      if (const char* v = next()) {
-        o.rates = rh::bench::parse_value_list("--fault-rate", v);
-      }
-    } else if (std::strcmp(argv[i], "--interval-s") == 0) {
-      if (const char* v = next()) {
-        o.intervals_s = rh::bench::parse_value_list("--interval-s", v);
-      }
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      if (const char* v = next()) o.workers = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      if (const char* v = next()) o.seed = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      if (const char* v = next()) o.out = v;
-    } else if (std::strcmp(argv[i], "--flight-out") == 0) {
-      if (const char* v = next()) o.flight_out = v;
-    } else {
-      usage(argv[0]);
-      return 2;
-    }
-  }
-  if (o.hosts < 1 || o.shards < 1 || o.wave < 1 || o.workers < 1 ||
-      o.rates.empty() || o.intervals_s.empty()) {
-    usage(argv[0]);
+  rh::bench::Cli()
+      .add("--hosts", o.sc.hosts)
+      .add("--shards", o.sc.shards)
+      .add("--wave", o.wave)
+      .add("--sessions", o.sc.sessions)
+      .add("--sim-seconds", o.sim_seconds)
+      .add("--check-interval-s", o.check_interval_s)
+      .add("--fault-rate", o.rates)
+      .add("--interval-s", o.intervals_s)
+      .add("--workers", o.sc.workers)
+      .add("--seed", o.sc.seed)
+      .add("--out", o.out)
+      .add("--flight-out", o.flight_out)
+      .parse(argc, argv);
+  if (o.sc.hosts < 1 || o.sc.shards < 1 || o.wave < 1 || o.sc.workers < 1) {
+    std::fprintf(stderr, "--hosts, --shards, --wave and --workers must be "
+                         ">= 1\n");
     return 2;
   }
   if (o.sim_seconds <= 0 || o.check_interval_s <= 0) {
@@ -340,8 +239,8 @@ int main(int argc, char** argv) {
   const auto wall_start = std::chrono::steady_clock::now();
   std::printf("fig_scrape: hosts=%d shards=%d wave=%d workers=%zu "
               "check=%.1fs window=%.1fs\n",
-              o.hosts, o.shards, o.wave, o.workers, o.check_interval_s,
-              o.sim_seconds);
+              o.sc.hosts, o.sc.shards, o.wave, o.sc.workers,
+              o.check_interval_s, o.sim_seconds);
 
   const double base_rate = o.rates.back();
   const double tight_interval = o.intervals_s.front();
@@ -349,7 +248,7 @@ int main(int argc, char** argv) {
   double headline_overhead_pct = 0.0;
   std::uint64_t digest = 0;
   const auto mix = [&digest](std::uint64_t v) {
-    digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
+    cluster::mix_digest(digest, v);
   };
 
   // Exact wave-order fidelity: with no fleet (so no load noise) and no
@@ -456,21 +355,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", o.out.c_str());
     return 1;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(digest));
-  js << "{\n"
-     << "  \"benchmark\": \"fig_scrape\",\n"
-     << "  \"hosts\": " << o.hosts << ",\n"
-     << "  \"shards\": " << o.shards << ",\n"
-     << "  \"wave_size\": " << o.wave << ",\n"
-     << "  \"vms_per_host\": " << o.vms_per_host << ",\n"
-     << "  \"workers\": " << o.workers << ",\n"
-     << "  \"concurrent_sessions\": "
-     << (o.sessions != 0 ? o.sessions
-                         : 1100ull * static_cast<std::uint64_t>(o.hosts))
-     << ",\n"
-     << "  \"sim_seconds\": " << o.sim_seconds << ",\n"
+  rh::bench::write_scale_json_header(js, "fig_scrape", o.sc, o.wave);
+  js << "  \"sim_seconds\": " << o.sim_seconds << ",\n"
      << "  \"check_interval_s\": " << o.check_interval_s << ",\n"
      << "  \"base_rate\": " << base_rate << ",\n"
      << "  \"tight_interval_s\": " << tight_interval << ",\n"
@@ -479,8 +365,6 @@ int main(int argc, char** argv) {
      << "  \"wave_order_fidelity\": " << headline_fidelity << ",\n"
      << "  \"flight_records\": " << flight_dumps.size() << ",\n"
      << "  \"wall_seconds\": " << wall << ",\n"
-     << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-     << ",\n"
      << "  \"rates\": [\n";
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const Row& row = rows[r];
@@ -498,9 +382,6 @@ int main(int argc, char** argv) {
        << "     \"scraped\": [\n";
     for (std::size_t i = 0; i < row.scraped.size(); ++i) {
       const Cell& c = row.scraped[i];
-      char cell_digest[64];
-      std::snprintf(cell_digest, sizeof cell_digest, "%016llx",
-                    static_cast<unsigned long long>(c.digest));
       js << "      {\"interval_s\": " << c.interval_s
          << ", \"pooled_availability\": " << c.stats.pooled_availability
          << ", \"p99_availability\": " << c.stats.availability_p99
@@ -524,13 +405,13 @@ int main(int argc, char** argv) {
          << ", \"unplanned_failures\": " << c.unplanned.failures
          << ", \"unrecovered_hosts\": " << c.unplanned.unrecovered
          << ", \"wall_seconds\": " << c.wall
-         << ", \"digest\": \"" << cell_digest << "\"}"
+         << ", \"digest\": \"" << rh::bench::hex_digest(c.digest) << "\"}"
          << (i + 1 < row.scraped.size() ? ",\n" : "\n");
     }
     js << "    ]}" << (r + 1 < rows.size() ? ",\n" : "\n");
   }
   js << "  ],\n"
-     << "  \"digest\": \"" << buf << "\"\n"
+     << "  \"digest\": \"" << rh::bench::hex_digest(digest) << "\"\n"
      << "}\n";
   std::printf("  wrote %s\n", o.out.c_str());
   if (headline_fidelity != 1.0) {

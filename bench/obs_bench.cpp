@@ -16,10 +16,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "bench_util.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
 #include "obs/observer.hpp"
@@ -144,23 +143,14 @@ int main(int argc, char** argv) {
   double budget_seconds = 10.0;
   std::uint64_t ops = 1 << 22;
   std::string out_path = "BENCH_obs.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--budget-seconds") == 0 && i + 1 < argc) {
-      budget_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-      ops = std::strtoull(argv[++i], nullptr, 10);
-      if (ops == 0) {
-        std::fprintf(stderr, "--ops must be a positive integer\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--budget-seconds S] [--out PATH] [--ops N]\n",
-                   argv[0]);
-      return 2;
-    }
+  bench::Cli()
+      .add("--budget-seconds", budget_seconds)
+      .add("--out", out_path)
+      .add("--ops", ops)
+      .parse(argc, argv);
+  if (ops == 0) {
+    std::fprintf(stderr, "--ops must be a positive integer\n");
+    return 2;
   }
 
   struct Micro {

@@ -21,11 +21,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/session_fleet.hpp"
 #include "simcore/parallel.hpp"
@@ -135,56 +135,35 @@ RunResult run_best_of(const RunConfig& rc, int reps) {
   return best;
 }
 
-std::vector<long> parse_list(const char* s) {
-  std::vector<long> out;
-  while (*s != '\0') {
-    char* end = nullptr;
-    out.push_back(std::strtol(s, &end, 10));
-    s = *end == ',' ? end + 1 : end;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   RunConfig base;
-  std::vector<long> workers = {1, 2, 4, 8};
+  std::vector<std::size_t> workers = {1, 2, 4, 8};
   std::vector<long> lookaheads = {50, 100, 200, 400, 800};
   int reps = 3;
   std::string out_path = "BENCH_pdes.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      base.hosts = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--vms") == 0 && i + 1 < argc) {
-      base.vms_per_host = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--sim-seconds") == 0 && i + 1 < argc) {
-      base.sim_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
-      base.connections = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = parse_list(argv[++i]);
-    } else if (std::strcmp(argv[i], "--lookahead-us") == 0 && i + 1 < argc) {
-      lookaheads = parse_list(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::max(1, std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      base.hosts = 12;
-      base.sim_seconds = 5.0;
-      workers = {1, 2};
-      lookaheads = {100, 400};
-      reps = 1;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--hosts H] [--vms V] [--sim-seconds S] "
-                   "[--connections C] [--workers LIST] [--lookahead-us LIST] "
-                   "[--reps N] [--out PATH] [--quick]\n",
-                   argv[0]);
-      return 2;
-    }
+  bool quick = false;
+  rh::bench::Cli cli;
+  cli.add("--hosts", base.hosts)
+      .add("--vms", base.vms_per_host)
+      .add("--sim-seconds", base.sim_seconds)
+      .add("--connections", base.connections)
+      .add("--workers", workers)
+      .add("--lookahead-us", lookaheads)
+      .add("--reps", reps)
+      .add("--out", out_path)
+      .add("--quick", quick)
+      .parse(argc, argv);
+  // --quick swaps the defaults for a CI-sized run; explicit flags win.
+  if (quick) {
+    if (!cli.given("--hosts")) base.hosts = 12;
+    if (!cli.given("--sim-seconds")) base.sim_seconds = 5.0;
+    if (!cli.given("--workers")) workers = {1, 2};
+    if (!cli.given("--lookahead-us")) lookaheads = {100, 400};
+    if (!cli.given("--reps")) reps = 1;
   }
+  reps = std::max(1, reps);
 
   const unsigned hw = std::thread::hardware_concurrency();
   const bool degenerate = hw <= 1;
@@ -208,12 +187,12 @@ int main(int argc, char** argv) {
   std::printf("  %8s %12s %10s %12s %12s %10s\n", "workers", "wall (s)",
               "speedup", "windows", "messages", "digest");
   std::vector<RunResult> scaling;
-  for (const long w : workers) {
+  for (const std::size_t w : workers) {
     RunConfig rc = base;
-    rc.workers = static_cast<std::size_t>(std::max(1l, w));
+    rc.workers = std::max<std::size_t>(1, w);
     scaling.push_back(run_best_of(rc, reps));
     const RunResult& r = scaling.back();
-    std::printf("  %8ld %12.3f %9.2fx %12llu %12llu   %08llx\n", w,
+    std::printf("  %8zu %12.3f %9.2fx %12llu %12llu   %08llx\n", w,
                 r.wall_seconds, scaling.front().wall_seconds / r.wall_seconds,
                 static_cast<unsigned long long>(r.windows),
                 static_cast<unsigned long long>(r.messages),
@@ -227,9 +206,8 @@ int main(int argc, char** argv) {
               digests_equal ? "EQUAL (bitwise deterministic)" : "DIFFER");
 
   // --------------------------------------------------- lookahead sweep
-  const std::size_t sweep_workers =
-      static_cast<std::size_t>(std::max(1l, *std::max_element(
-          workers.begin(), workers.end())));
+  const std::size_t sweep_workers = std::max<std::size_t>(
+      1, *std::max_element(workers.begin(), workers.end()));
   std::printf("\n  lookahead sensitivity (link latency sweep, %zu workers; "
               "smaller lookahead = narrower safe window = more barriers):\n",
               sweep_workers);
@@ -272,7 +250,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const RunResult& r = scaling[i];
     std::snprintf(buf, sizeof buf,
-                  "    {\"workers\": %ld, \"wall_seconds\": %.4f, "
+                  "    {\"workers\": %zu, \"wall_seconds\": %.4f, "
                   "\"speedup_vs_1\": %.3f, \"windows\": %llu, "
                   "\"messages\": %llu, \"events\": %llu, "
                   "\"digest\": \"%016llx\"}%s\n",

@@ -24,7 +24,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,25 +82,16 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::size_t reps = 8;
   std::string out_path = "BENCH_runner.json";
-  std::vector<std::size_t> thread_counts;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = {static_cast<std::size_t>(std::atoll(argv[++i]))};
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads T] [--reps R] [--quick] [--out PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (thread_counts.empty()) thread_counts = {1, 2, 4, 8};
-  if (quick && reps == 8) reps = 3;
+  std::size_t threads = 0;
+  bench::Cli cli;
+  cli.add("--quick", quick)
+      .add("--reps", reps)
+      .add("--threads", threads)
+      .add("--out", out_path)
+      .parse(argc, argv);
+  std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
+  if (cli.given("--threads")) thread_counts = {threads};
+  if (quick && !cli.given("--reps")) reps = 3;
   if (reps == 0) reps = 1;
 
   // Jitter on, so replications genuinely differ and the merge paths are

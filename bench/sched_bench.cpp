@@ -30,10 +30,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/legacy_heap_queue.hpp"
 #include "simcore/random.hpp"
@@ -244,20 +244,11 @@ int main(int argc, char** argv) {
   double budget_seconds = 10.0;
   std::size_t events = 1 << 16;
   std::string out_path = "BENCH_sched.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--budget-seconds") == 0 && i + 1 < argc) {
-      budget_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      events = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--budget-seconds S] [--out PATH] [--events N]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  rh::bench::Cli()
+      .add("--budget-seconds", budget_seconds)
+      .add("--out", out_path)
+      .add("--events", events)
+      .parse(argc, argv);
 
   const Workload workloads[] = {
       {"hold", &run_hold<sim::LegacyHeapQueue>, &run_hold<sim::EventQueue>},

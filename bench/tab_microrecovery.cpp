@@ -37,19 +37,9 @@ namespace {
 using namespace rh;
 using bench::Testbed;
 
-struct Ladder {
-  const char* name;
-  rejuv::RebootKind planned;
-  bool micro;
-};
-
-constexpr Ladder kLadders[] = {
-    {"micro", rejuv::RebootKind::kWarm, true},
-    {"warm", rejuv::RebootKind::kWarm, false},
-    {"saved", rejuv::RebootKind::kSaved, false},
-    {"cold", rejuv::RebootKind::kCold, false},
-};
-constexpr std::size_t kLadderCount = 4;
+using bench::kLadders;
+using bench::Ladder;
+constexpr std::size_t kLadderCount = std::size(kLadders);
 
 /// Per-VM availability over a one-hour window: one planned supervised
 /// rejuvenation, then steady unplanned VMM crashes/hangs at `rate` per
@@ -78,12 +68,7 @@ exp::ReplicationResult microrec_replication(const Ladder& ladder, double rate,
   faults.vmm_hang_rate = rate / 2.0;
   tb.host->configure_faults(faults);
 
-  rejuv::SupervisorConfig scfg;
-  scfg.preferred = ladder.planned;
-  if (ladder.micro) {
-    scfg.micro.enabled = true;
-    scfg.micro.success_rate = 0.85;  // ReHype's reported recovery rate
-  }
+  const rejuv::SupervisorConfig scfg = ladder.supervisor();
 
   const sim::SimTime start = tb.sim.now();
   const sim::SimTime end = start + sim::kHour;
@@ -139,18 +124,9 @@ std::string micro_counters(const obs::MetricsRegistry& m) {
 int main(int argc, char** argv) {
   std::vector<double> rates = {0.0, 0.05, 0.1, 0.2, 0.4};
   std::string out_path = "BENCH_microrec.json";
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc) {
-      rates = rh::bench::parse_value_list("--fault-rate", argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const auto opt = rh::bench::SweepOptions::parse(
-      static_cast<int>(rest.size()), rest.data());
+  rh::bench::SweepOptions opt;
+  opt.parse(argc, argv,
+            rh::bench::Cli().add("--fault-rate", rates).add("--out", out_path));
 
   rh::bench::print_header(
       "Unplanned-crash resilience: availability vs steady VMM fault rate");

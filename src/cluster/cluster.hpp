@@ -192,6 +192,8 @@ class Cluster {
   [[nodiscard]] const UnplannedReport& unplanned_report() const {
     return unplanned_;
   }
+  /// True between start_steady_faults() and stop_steady_faults().
+  [[nodiscard]] bool steady_faults_armed() const { return steady_started_; }
   /// Hosts the control plane currently believes to be crash-down.
   [[nodiscard]] std::size_t unplanned_down_hosts() const;
 

@@ -3,11 +3,14 @@
 // readmit membership riding the sharded balancer, failure-reactive wave
 // admission (unplanned outages count against the downtime budget), and
 // the session fleet's planned-vs-unplanned downtime attribution.
+#include <array>
 #include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "cluster/metrics_scraper.hpp"
+#include "cluster/scale_scenario.hpp"
 #include "cluster/session_fleet.hpp"
 #include "cluster/sharded_balancer.hpp"
 
@@ -178,6 +181,77 @@ TEST(SteadyFaultsAtScale, FleetSplitsPlannedFromUnplannedDowntime) {
   EXPECT_DOUBLE_EQ(
       static_cast<double>(both.planned_downtime + both.unplanned_downtime),
       both.session_downtime.mean() * 16.0);
+}
+
+// cluster::ScaleScenario is the one builder behind every fleet-level
+// bench; each shape the benches arm must digest identically for any
+// worker count. Shapes run on 8 hosts behind 2 shards.
+/// Runs one shape at 1 and at 4 workers; returns both digests.
+template <class Arm, class Check>
+std::array<std::uint64_t, 2> digests(bool fleet, double fault_rate, Arm arm,
+                                     Check check) {
+  std::array<std::uint64_t, 2> out{};
+  const std::size_t workers[] = {1, 4};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    cluster::ScaleScenario s({.hosts = 8,
+                              .shards = 2,
+                              .workers = workers[i],
+                              .fleet = fleet,
+                              .fault_rate = fault_rate});
+    cluster::Cluster::WaveConfig wc;
+    wc.wave_size = 2;
+    arm(s.cluster(), wc);
+    s.run(wc, 3 * sim::kSecond, 20 * sim::kSecond);
+    check(s);
+    out[i] = s.digest();
+  }
+  return out;
+}
+
+TEST(ScaleScenario, PlainWavesDigestIsWorkerCountInvariant) {
+  const auto d = digests(
+      true, 0.0, [](cluster::Cluster&, cluster::Cluster::WaveConfig&) {},
+      [](cluster::ScaleScenario& s) {
+        EXPECT_GT(s.cluster().last_wave_report().waves.size(), std::size_t{0});
+        EXPECT_GT(s.fleet()->stats(s.window_end()).completions,
+                  std::uint64_t{0});
+      });
+  EXPECT_EQ(d[0], d[1]);
+}
+
+TEST(ScaleScenario, SteadyFaultsMicroLadderDigestIsWorkerCountInvariant) {
+  const auto d = digests(
+      true, 0.4,
+      [](cluster::Cluster& cl, cluster::Cluster::WaveConfig& wc) {
+        wc.supervisor.micro.enabled = true;
+        cluster::Cluster::SteadyFaultsConfig sfc;
+        sfc.process.check_interval = 2 * sim::kSecond;
+        sfc.supervisor = wc.supervisor;
+        cl.start_steady_faults(sfc);
+      },
+      [](cluster::ScaleScenario& s) {
+        EXPECT_GT(s.cluster().unplanned_report().micro_recoveries,
+                  std::uint64_t{0});
+      });
+  EXPECT_EQ(d[0], d[1]);
+}
+
+TEST(ScaleScenario, FleetlessScrapedDigestIsWorkerCountInvariant) {
+  const auto d = digests(
+      false, 0.0,
+      [](cluster::Cluster& cl, cluster::Cluster::WaveConfig& wc) {
+        cluster::Cluster::ScrapeConfig sc;
+        sc.interval = 2 * sim::kSecond;
+        sc.timeout = sim::kSecond;
+        cl.start_scraping(sc);
+        wc.signals = cluster::Cluster::WaveSignalSource::kScraped;
+      },
+      [](cluster::ScaleScenario& s) {
+        EXPECT_EQ(s.fleet(), nullptr);
+        EXPECT_GT(s.cluster().scraper()->stats().scrapes_ok, std::uint64_t{0});
+        EXPECT_GT(s.cluster().last_wave_report().waves.size(), std::size_t{0});
+      });
+  EXPECT_EQ(d[0], d[1]);
 }
 
 }  // namespace
