@@ -110,9 +110,11 @@ hw::ContentToken GuestOs::mem_read(mm::Pfn pfn) const {
 }
 
 void GuestOs::rebind_host(vmm::Host& new_host) {
-  ensure(state_ == OsState::kSuspended,
-         "rebind_host: guest must be suspended for migration (is " +
-             std::string(to_string(state_)) + ")");
+  if (state_ != OsState::kSuspended) [[unlikely]] {
+    throw_invariant_violation(
+        "rebind_host: guest must be suspended for migration (is " +
+        std::string(to_string(state_)) + ")");
+  }
   ensure(new_host.up(), "rebind_host: destination host is not up");
   host_ = &new_host;
   domain_id_ = kNoDomain;  // the destination assigns a new domain id
@@ -120,8 +122,10 @@ void GuestOs::rebind_host(vmm::Host& new_host) {
 
 void GuestOs::create_and_boot(std::function<void()> on_up) {
   ensure(static_cast<bool>(on_up), "create_and_boot: callback required");
-  ensure(state_ == OsState::kHalted,
-         "create_and_boot: OS must be halted (is " + std::string(to_string(state_)) + ")");
+  if (state_ != OsState::kHalted) [[unlikely]] {
+    throw_invariant_violation("create_and_boot: OS must be halted (is " +
+                              std::string(to_string(state_)) + ")");
+  }
   ensure(host_->up(), "create_and_boot: host is not up");
   state_ = OsState::kBooting;
   host_->vmm().create_domain(name_, memory_, this,
@@ -204,8 +208,10 @@ void GuestOs::stop_services_from(std::size_t index, std::function<void()> done) 
 
 void GuestOs::shutdown(std::function<void()> on_halted) {
   ensure(static_cast<bool>(on_halted), "shutdown: callback required");
-  ensure(state_ == OsState::kRunning || state_ == OsState::kCrashed,
-         "shutdown: OS not running (is " + std::string(to_string(state_)) + ")");
+  if (state_ != OsState::kRunning && state_ != OsState::kCrashed) [[unlikely]] {
+    throw_invariant_violation("shutdown: OS not running (is " +
+                              std::string(to_string(state_)) + ")");
+  }
   state_ = OsState::kShuttingDown;
   host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
                     obs::EventKind::kLifecycle, "shutting down", domain_id_);
@@ -263,9 +269,10 @@ void GuestOs::force_power_off() {
 }
 
 void GuestOs::interrupt_for_vmm_failure() {
-  ensure(state_ == OsState::kRunning,
-         "interrupt_for_vmm_failure: OS not running (is " +
-             std::string(to_string(state_)) + ")");
+  if (state_ != OsState::kRunning) [[unlikely]] {
+    throw_invariant_violation("interrupt_for_vmm_failure: OS not running (is " +
+                              std::string(to_string(state_)) + ")");
+  }
   host_->obs().emit(host_->sim().now(), obs::Category::kGuest,
                     obs::EventKind::kLifecycle, "frozen by VMM failure",
                     domain_id_);
@@ -275,8 +282,10 @@ void GuestOs::interrupt_for_vmm_failure() {
 }
 
 void GuestOs::on_suspend_event(std::function<void()> suspend_hypercall) {
-  ensure(state_ == OsState::kRunning,
-         "on_suspend_event: OS not running (is " + std::string(to_string(state_)) + ")");
+  if (state_ != OsState::kRunning) [[unlikely]] {
+    throw_invariant_violation("on_suspend_event: OS not running (is " +
+                              std::string(to_string(state_)) + ")");
+  }
   state_ = OsState::kSuspending;
   host_->sim().after(host_->calib().suspend_handler,
                     [this, hypercall = std::move(suspend_hypercall)] {
@@ -286,8 +295,10 @@ void GuestOs::on_suspend_event(std::function<void()> suspend_hypercall) {
 }
 
 void GuestOs::on_resume(DomainId new_id, std::function<void()> done) {
-  ensure(state_ == OsState::kSuspended,
-         "on_resume: OS not suspended (is " + std::string(to_string(state_)) + ")");
+  if (state_ != OsState::kSuspended) [[unlikely]] {
+    throw_invariant_violation("on_resume: OS not suspended (is " +
+                              std::string(to_string(state_)) + ")");
+  }
   domain_id_ = new_id;
   state_ = OsState::kResuming;
   host_->sim().after(host_->calib().resume_handler, [this, done = std::move(done)] {

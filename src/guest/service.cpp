@@ -7,7 +7,10 @@ namespace rh::guest {
 
 void Service::start(GuestOs& os, std::function<void()> done) {
   ensure(static_cast<bool>(done), "Service::start: callback required");
-  ensure(!running_, "Service::start: '" + spec_.name + "' already running");
+  if (running_) [[unlikely]] {
+    throw_invariant_violation("Service::start: '" + spec_.name +
+                              "' already running");
+  }
   auto finish = [this, &os, epoch = interrupt_epoch_, done = std::move(done)] {
     // A force_stop() while we were starting means the VM lost power: the
     // half-started process is gone, and the boot chain that requested the

@@ -6,6 +6,17 @@
 
 namespace rh::mm {
 
+namespace {
+
+// Cold and out of line: claim() checks every frame of an image, and the
+// message must cost nothing unless a check fails.
+[[noreturn]] void throw_frame_not_free(hw::FrameNumber mfn) {
+  throw_invariant_violation("FrameAllocator::claim: frame " +
+                            std::to_string(mfn) + " not free");
+}
+
+}  // namespace
+
 FrameAllocator::FrameAllocator(std::int64_t frame_count)
     : total_(frame_count), free_(frame_count) {
   ensure(frame_count > 0, "FrameAllocator: no frames");
@@ -85,8 +96,9 @@ void FrameAllocator::claim(DomainId owner, std::span<const hw::FrameNumber> fram
   ensure(owner != kNoDomain, "FrameAllocator::claim: invalid owner");
   for (const auto mfn : frames) {
     check_mfn(mfn);
-    ensure(owner_[static_cast<std::size_t>(mfn)] == kNoDomain,
-           "FrameAllocator::claim: frame " + std::to_string(mfn) + " not free");
+    if (owner_[static_cast<std::size_t>(mfn)] != kNoDomain) [[unlikely]] {
+      throw_frame_not_free(mfn);
+    }
   }
   for (const auto mfn : frames) owner_[static_cast<std::size_t>(mfn)] = owner;
   free_ -= static_cast<std::int64_t>(frames.size());
@@ -100,6 +112,23 @@ void FrameAllocator::release(hw::FrameNumber mfn) {
   owner_[static_cast<std::size_t>(mfn)] = kNoDomain;
   ++free_;
   --owned_counts_[owner];
+}
+
+std::int64_t FrameAllocator::release_owned(
+    DomainId owner, std::span<const hw::FrameNumber> frames) {
+  ensure(owner != kNoDomain, "FrameAllocator::release_owned: invalid owner");
+  std::int64_t freed = 0;
+  for (const auto mfn : frames) {
+    check_mfn(mfn);
+    auto& slot = owner_[static_cast<std::size_t>(mfn)];
+    if (slot == owner) {
+      slot = kNoDomain;
+      ++freed;
+    }
+  }
+  free_ += freed;
+  if (freed > 0) owned_counts_[owner] -= freed;
+  return freed;
 }
 
 std::int64_t FrameAllocator::release_all(DomainId owner) {
@@ -133,15 +162,6 @@ std::vector<hw::FrameNumber> FrameAllocator::frames_owned_by(DomainId owner) con
   return out;
 }
 
-std::vector<hw::FrameNumber> FrameAllocator::free_frame_list() const {
-  std::vector<hw::FrameNumber> out;
-  out.reserve(static_cast<std::size_t>(free_));
-  for (std::size_t i = 0; i < owner_.size(); ++i) {
-    if (owner_[i] == kNoDomain) out.push_back(static_cast<hw::FrameNumber>(i));
-  }
-  return out;
-}
-
 std::int64_t FrameAllocator::largest_free_run() const {
   std::int64_t best = 0;
   std::int64_t run = 0;
@@ -161,21 +181,20 @@ double FrameAllocator::fragmentation() const {
                    static_cast<double>(free_);
 }
 
-hw::FrameNumber FrameAllocator::lowest_free_from(hw::FrameNumber hint) const {
-  for (std::int64_t mfn = hint < 0 ? 0 : hint; mfn < total_; ++mfn) {
-    if (owner_[static_cast<std::size_t>(mfn)] == kNoDomain) return mfn;
-  }
-  return -1;
-}
-
 bool FrameAllocator::accounting_ok() const {
+  // Frames come in long runs of one owner (allocate and claim hand out
+  // ascending MFNs), so count each run and update the tally once per run.
   std::int64_t seen_free = 0;
   std::unordered_map<DomainId, std::int64_t> seen_counts;
-  for (std::size_t i = 0; i < owner_.size(); ++i) {
-    if (owner_[i] == kNoDomain) {
-      ++seen_free;
+  for (std::size_t i = 0; i < owner_.size();) {
+    const DomainId owner = owner_[i];
+    const std::size_t run_start = i;
+    while (i < owner_.size() && owner_[i] == owner) ++i;
+    const auto run = static_cast<std::int64_t>(i - run_start);
+    if (owner == kNoDomain) {
+      seen_free += run;
     } else {
-      ++seen_counts[owner_[i]];
+      seen_counts[owner] += run;
     }
   }
   if (seen_free != free_) return false;

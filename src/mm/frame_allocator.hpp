@@ -47,6 +47,12 @@ class FrameAllocator {
   /// Returns one frame to the free pool. It must be owned.
   void release(hw::FrameNumber mfn);
 
+  /// Frees the frames of `frames` that `owner` holds and leaves the rest
+  /// alone; returns how many were freed. One count update for the batch,
+  /// so handing a whole image back costs no per-frame bookkeeping.
+  std::int64_t release_owned(DomainId owner,
+                             std::span<const hw::FrameNumber> frames);
+
   /// Frees every frame owned by `owner`; returns how many were freed.
   std::int64_t release_all(DomainId owner);
 
@@ -58,10 +64,6 @@ class FrameAllocator {
   /// All frames currently owned by `owner`, in ascending MFN order.
   [[nodiscard]] std::vector<hw::FrameNumber> frames_owned_by(DomainId owner) const;
 
-  /// All currently-free frames, in ascending MFN order. Used by the VMM's
-  /// boot-time scrubber.
-  [[nodiscard]] std::vector<hw::FrameNumber> free_frame_list() const;
-
   /// Length of the longest run of consecutive free MFNs.
   [[nodiscard]] std::int64_t largest_free_run() const;
 
@@ -70,9 +72,15 @@ class FrameAllocator {
   [[nodiscard]] double fragmentation() const;
 
   /// Lowest free MFN >= `hint`, or -1 when none. Lets callers walk the
-  /// free pool in ascending order without rescanning from zero (the
-  /// compaction pass passes the previous result + 1 as the next hint).
-  [[nodiscard]] hw::FrameNumber lowest_free_from(hw::FrameNumber hint) const;
+  /// free pool in ascending order without rescanning from zero or copying
+  /// it out (the boot scrubber and the compaction pass pass the previous
+  /// result + 1 as the next hint).
+  [[nodiscard]] hw::FrameNumber lowest_free_from(hw::FrameNumber hint) const {
+    for (std::int64_t mfn = hint < 0 ? 0 : hint; mfn < total_; ++mfn) {
+      if (owner_[static_cast<std::size_t>(mfn)] == kNoDomain) return mfn;
+    }
+    return -1;
+  }
 
   /// Conservation check: the cached free counter and per-owner counts
   /// agree with the owner map. Cheap enough to run after every reload.

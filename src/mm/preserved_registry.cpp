@@ -1,25 +1,40 @@
 #include "mm/preserved_registry.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "simcore/check.hpp"
 
 namespace rh::mm {
 
 std::uint64_t payload_checksum(const std::vector<std::byte>& payload) {
+  // FNV-1a over 8-byte words, then over the 0-7 tail bytes. Each step
+  // (xor, then multiply by the odd prime) is a bijection mod 2^64, so a
+  // change confined to one word or tail byte always changes the result.
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const std::byte b : payload) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 1099511628211ULL;  // FNV prime
+  const std::byte* p = payload.data();
+  const std::size_t words = payload.size() / sizeof(std::uint64_t);
+  for (std::size_t i = 0; i < words; ++i, p += sizeof(std::uint64_t)) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    h ^= w;
+    h *= kPrime;
+  }
+  for (const std::byte* end = payload.data() + payload.size(); p != end; ++p) {
+    h ^= static_cast<std::uint64_t>(*p);
+    h *= kPrime;
   }
   return h;
 }
 
 void PreservedRegionRegistry::put(PreservedRegion region) {
   ensure(!region.name.empty(), "PreservedRegionRegistry: region needs a name");
-  ensure(regions_.find(region.name) == regions_.end(),
-         "PreservedRegionRegistry::put: duplicate region '" + region.name +
-             "' (use replace() to overwrite deliberately)");
+  if (regions_.find(region.name) != regions_.end()) [[unlikely]] {
+    throw_invariant_violation("PreservedRegionRegistry::put: duplicate region '" +
+                              region.name +
+                              "' (use replace() to overwrite deliberately)");
+  }
   check_budget(region, /*replaced_frames=*/0);
   region.checksum = payload_checksum(region.payload);
   order_.push_back(region.name);
@@ -29,8 +44,10 @@ void PreservedRegionRegistry::put(PreservedRegion region) {
 void PreservedRegionRegistry::replace(PreservedRegion region) {
   ensure(!region.name.empty(), "PreservedRegionRegistry: region needs a name");
   const auto it = regions_.find(region.name);
-  ensure(it != regions_.end(),
-         "PreservedRegionRegistry::replace: no region '" + region.name + "'");
+  if (it == regions_.end()) [[unlikely]] {
+    throw_invariant_violation("PreservedRegionRegistry::replace: no region '" +
+                              region.name + "'");
+  }
   check_budget(region, frames_of(it->second));
   region.checksum = payload_checksum(region.payload);
   it->second = std::move(region);

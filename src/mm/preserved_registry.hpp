@@ -30,13 +30,15 @@ struct PreservedRegion {
   std::string name;
   std::vector<std::byte> payload;
   std::vector<hw::FrameNumber> frozen_frames;
-  /// FNV-1a over the payload, stamped by the registry at put() time. A
+  /// payload_checksum(payload), stamped by the registry at put() time. A
   /// reader that recomputes a different value is looking at a record that
   /// rotted (or was tampered with) after it was preserved.
   std::uint64_t checksum = 0;
 };
 
-/// FNV-1a over a payload; the checksum PreservedRegionRegistry stamps.
+/// Word-wise FNV-1a over a payload (8-byte words, then a byte-wise tail);
+/// the checksum PreservedRegionRegistry stamps. Any change confined to one
+/// word or one tail byte changes it.
 [[nodiscard]] std::uint64_t payload_checksum(const std::vector<std::byte>& payload);
 
 /// Thrown when a put()/replace() would push the registry past its

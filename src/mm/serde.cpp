@@ -1,6 +1,15 @@
 #include "mm/serde.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace rh::mm {
+
+// i64_vector copies whole blocks: the in-memory layout of an int64_t array
+// is the wire layout (8 little-endian bytes per element) only on a
+// little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "mm serde bulk-copies int64 arrays as little-endian bytes");
 
 void ByteWriter::u32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -17,7 +26,10 @@ void ByteWriter::str(const std::string& s) {
 
 void ByteWriter::i64_vector(const std::vector<std::int64_t>& v) {
   u64(v.size());
-  for (auto x : v) i64(x);
+  if (v.empty()) return;
+  const std::size_t at = buf_.size();
+  buf_.resize(at + v.size() * sizeof(std::int64_t));
+  std::memcpy(buf_.data() + at, v.data(), v.size() * sizeof(std::int64_t));
 }
 
 std::uint8_t ByteReader::u8() {
@@ -48,10 +60,14 @@ std::string ByteReader::str() {
 
 std::vector<std::int64_t> ByteReader::i64_vector() {
   const std::uint64_t n = u64();
-  need(static_cast<std::size_t>(n) * 8);
-  std::vector<std::int64_t> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(i64());
+  // Bound n before multiplying: a malformed prefix such as 1 << 61 would
+  // wrap n * 8 past the check.
+  ensure(n <= (buf_.size() - pos_) / sizeof(std::int64_t),
+         "ByteReader: truncated payload");
+  std::vector<std::int64_t> v(static_cast<std::size_t>(n));
+  if (n == 0) return v;
+  std::memcpy(v.data(), buf_.data() + pos_, v.size() * sizeof(std::int64_t));
+  pos_ += v.size() * sizeof(std::int64_t);
   return v;
 }
 

@@ -28,8 +28,10 @@ AdmissionController::AdmissionController(vmm::Host& host, AdmissionConfig config
 std::int64_t AdmissionController::preserved_frames_for(
     const guest::GuestOs& g) const {
   const auto* d = host_.vmm().find_domain_by_name(g.name());
-  ensure(d != nullptr, "AdmissionController: guest '" + g.name() +
-                           "' has no domain");
+  if (d == nullptr) [[unlikely]] {
+    throw_invariant_violation("AdmissionController: guest '" + g.name() +
+                              "' has no domain");
+  }
   // Frozen frames are exactly the populated pages. The metadata payload is
   // dominated by the serialised P2M (8 B per nominal PFN); the execution
   // state, event channels and name ride in a couple of frames of slack --
@@ -42,8 +44,10 @@ std::int64_t AdmissionController::preserved_frames_for(
 std::int64_t AdmissionController::reclaim_safe_pages(
     const guest::GuestOs& g) const {
   const auto* d = host_.vmm().find_domain_by_name(g.name());
-  ensure(d != nullptr, "AdmissionController: guest '" + g.name() +
-                           "' has no domain");
+  if (d == nullptr) [[unlikely]] {
+    throw_invariant_violation("AdmissionController: guest '" + g.name() +
+                              "' has no domain");
+  }
   // Populated pages always form a PFN prefix in this model (creation
   // populates from the bottom, inflate takes the highest populated page,
   // deflate refills the lowest hole), so everything above the kernel +

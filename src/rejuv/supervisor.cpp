@@ -628,10 +628,7 @@ void Supervisor::discard_region(const std::string& region_name) {
   if (const auto* region = host_.preserved().find(region_name)) {
     // The incoming VMM re-reserved the region's frozen frames; give them
     // back so replacement boots can use the memory.
-    auto& alloc = host_.vmm().allocator();
-    for (const auto mfn : region->frozen_frames) {
-      if (alloc.owner_of(mfn) == kVmmOwner) alloc.release(mfn);
-    }
+    host_.vmm().allocator().release_owned(kVmmOwner, region->frozen_frames);
   }
   host_.preserved().erase(region_name);
 }

@@ -7,8 +7,16 @@
 // ensure() sits on the simulator's hottest paths (every event push/pop runs
 // through it), so the success path must cost exactly one predicted branch:
 // the message stays a const char* and the exception is materialized only in
-// the out-of-line, cold throw helper. Passing a std::string temporary here
-// would tax every call even when the invariant holds.
+// the out-of-line, cold throw helper.
+//
+// There is deliberately no ensure(bool, std::string) overload: its argument
+// would be built on every call, including every call where the invariant
+// holds. A site whose message names runtime values tests the condition
+// itself and builds the message only on the failing branch:
+//
+//   if (mfn >= total) [[unlikely]] {
+//     throw_invariant_violation("frame " + std::to_string(mfn) + " out of range");
+//   }
 #pragma once
 
 #include <stdexcept>
@@ -26,18 +34,14 @@ class InvariantViolation : public std::logic_error {
 /// ensure() inlines to a bare test-and-branch.
 [[noreturn]] void throw_invariant_violation(const char* message);
 
+/// Cold path for messages built at the failing site (see the header
+/// comment); call it only from inside an `if (!cond) [[unlikely]]` block.
+[[noreturn]] void throw_invariant_violation(const std::string& message);
+
 /// Throws InvariantViolation with `message` unless `condition` holds.
 inline void ensure(bool condition, const char* message) {
   if (!condition) [[unlikely]] {
     throw_invariant_violation(message);
-  }
-}
-
-/// Overload for call sites that build the message dynamically; those are
-/// all cold paths, so eager message construction there is acceptable.
-inline void ensure(bool condition, const std::string& message) {
-  if (!condition) [[unlikely]] {
-    throw_invariant_violation(message.c_str());
   }
 }
 

@@ -28,7 +28,9 @@ void Vmm::save_domain_to_disk(DomainId id, ImageStore& store,
   ensure(static_cast<bool>(done), "save: callback required");
   Domain& d = domain(id);
   ensure(!d.privileged(), "save: cannot save domain 0");
-  ensure(d.running(), "save: domain '" + d.name() + "' is not running");
+  if (!d.running()) [[unlikely]] {
+    throw_invariant_violation("save: domain '" + d.name() + "' is not running");
+  }
   ensure(d.hooks() != nullptr, "save: domain has no guest hooks");
   d.set_state(DomainState::kSuspending);
 
@@ -87,7 +89,10 @@ void Vmm::restore_domain_from_disk(const std::string& name, ImageStore& store,
   ensure(static_cast<bool>(done), "restore: callback required");
   ensure(hooks != nullptr, "restore: guest hooks required");
   const SavedImage* img = store.find(name);
-  ensure(img != nullptr, "restore: no saved image for domain '" + name + "'");
+  if (img == nullptr) [[unlikely]] {
+    throw_invariant_violation("restore: no saved image for domain '" + name +
+                              "'");
+  }
   const sim::Bytes memory = img->memory_size;
 
   // Domain creation is serialised through xend; the image read then

@@ -44,7 +44,10 @@ void Vmm::suspend_domain_on_memory(DomainId id, std::function<void()> done) {
   ensure(static_cast<bool>(done), "suspend: callback required");
   Domain& d = domain(id);
   ensure(!d.privileged(), "suspend: cannot suspend domain 0");
-  ensure(d.running(), "suspend: domain '" + d.name() + "' is not running");
+  if (!d.running()) [[unlikely]] {
+    throw_invariant_violation("suspend: domain '" + d.name() +
+                              "' is not running");
+  }
   ensure(d.hooks() != nullptr, "suspend: domain has no guest hooks");
   d.set_state(DomainState::kSuspending);
 
@@ -245,8 +248,10 @@ void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
   ensure(static_cast<bool>(done), "resume: callback required");
   ensure(hooks != nullptr, "resume: guest hooks required");
   const std::string region_name = std::string(kRegionPrefix) + name;
-  ensure(preserved_.find(region_name) != nullptr,
-         "resume: no preserved image for domain '" + name + "'");
+  if (preserved_.find(region_name) == nullptr) [[unlikely]] {
+    throw_invariant_violation("resume: no preserved image for domain '" + name +
+                              "'");
+  }
 
   // Domain re-creation and state restoration are serialised through the
   // management stack in domain 0 -- the resume(n) ~ 0.43 n slope.
@@ -255,18 +260,22 @@ void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
       [this, name, region_name, hooks, done = std::move(done)] {
         const auto* region = preserved_.find(region_name);
         ensure(region != nullptr, "resume: preserved image vanished");
-        ensure(mm::payload_checksum(region->payload) == region->checksum,
-               "resume: preserved image for domain '" + name +
-                   "' failed its checksum (corrupted in RAM); a supervisor "
-                   "must check preserved_image_intact() and cold-boot instead");
+        if (mm::payload_checksum(region->payload) != region->checksum) [[unlikely]] {
+          throw_invariant_violation(
+              "resume: preserved image for domain '" + name +
+              "' failed its checksum (corrupted in RAM); a supervisor "
+              "must check preserved_image_intact() and cold-boot instead");
+        }
         PreservedDomainRecord rec = parse_record(*region);
 
         // Resuming within the same VMM instance (no reload in between):
         // the suspended domain's shell still exists and owns the frozen
         // frames; retire it so its successor can claim them.
         if (Domain* old_dom = find_domain_by_name(name)) {
-          ensure(old_dom->state() == DomainState::kSuspendedInMemory,
-                 "resume: domain '" + name + "' exists and is not suspended");
+          if (old_dom->state() != DomainState::kSuspendedInMemory) [[unlikely]] {
+            throw_invariant_violation("resume: domain '" + name +
+                                      "' exists and is not suspended");
+          }
           const DomainId old_id = old_dom->id();
           allocator_.release_all(old_id);
           heap_.free("domain/" + name, kDomainHeapCost);
@@ -282,9 +291,7 @@ void Vmm::resume_domain_on_memory(const std::string& name, GuestHooks* hooks,
         // and this claim (or the guest's later integrity check) fails --
         // the corruption the quick reload mechanism exists to prevent.
         const auto frames = rec.p2m.mapped_frames();
-        for (const auto mfn : frames) {
-          if (allocator_.owner_of(mfn) == kVmmOwner) allocator_.release(mfn);
-        }
+        allocator_.release_owned(kVmmOwner, frames);
         allocator_.claim(id, frames);
         dom->p2m() = std::move(rec.p2m);
         dom->exec() = rec.exec;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <queue>
 #include <utility>
 
 #include "simcore/check.hpp"
@@ -99,10 +98,14 @@ void Vmm::build_dom0() {
 void Vmm::scrub_free_memory() {
   // Frozen frames are owned (claimed by reserve_preserved_regions), so the
   // scrubber never touches them.
-  const auto free_frames = allocator_.free_frame_list();
-  for (const auto mfn : free_frames) machine_.memory().scrub(mfn);
+  std::uint64_t scrubbed = 0;
+  for (auto mfn = allocator_.lowest_free_from(0); mfn >= 0;
+       mfn = allocator_.lowest_free_from(mfn + 1)) {
+    machine_.memory().scrub(mfn);
+    ++scrubbed;
+  }
   obs_.emit(sim_.now(), obs::Category::kVmm, obs::EventKind::kMark,
-            "scrubbed free frames", -1, free_frames.size());
+            "scrubbed free frames", -1, scrubbed);
 }
 
 void Vmm::finish_boot() {
@@ -144,8 +147,9 @@ void Vmm::boot_instantly() {
 Domain& Vmm::make_domain(const std::string& name, sim::Bytes memory,
                          GuestHooks* hooks, bool privileged,
                          sim::Bytes initial_allocation) {
-  ensure(find_domain_by_name(name) == nullptr,
-         "Vmm: domain '" + name + "' already exists");
+  if (find_domain_by_name(name) != nullptr) [[unlikely]] {
+    throw_invariant_violation("Vmm: domain '" + name + "' already exists");
+  }
   ensure(initial_allocation >= 0 && initial_allocation <= memory,
          "Vmm: initial_allocation out of [0, memory]");
   const DomainId id = next_domain_id_++;
@@ -263,13 +267,17 @@ void Vmm::destroy_domain(DomainId id) {
 
 Domain& Vmm::domain(DomainId id) {
   Domain* d = find_domain(id);
-  ensure(d != nullptr, "Vmm::domain: no such domain " + std::to_string(id));
+  if (d == nullptr) [[unlikely]] {
+    throw_invariant_violation("Vmm::domain: no such domain " + std::to_string(id));
+  }
   return *d;
 }
 
 const Domain& Vmm::domain(DomainId id) const {
   const auto it = domains_.find(id);
-  ensure(it != domains_.end(), "Vmm::domain: no such domain " + std::to_string(id));
+  if (it == domains_.end()) [[unlikely]] {
+    throw_invariant_violation("Vmm::domain: no such domain " + std::to_string(id));
+  }
   return *it->second;
 }
 
@@ -308,14 +316,12 @@ sim::Bytes Vmm::trigger_error_path() {
 }
 
 std::int64_t Vmm::compact_memory() {
-  // Min-heap of free MFNs: each relocation consumes the lowest candidate
-  // and returns the vacated (higher) frame to the pool, so later pages can
-  // slide into it. Iteration order -- domains ascending by id, PFNs
+  // Each relocation moves a page into the lowest free frame and frees its
+  // (higher) old frame, so later pages can slide into it. Every frame at or
+  // below the last target is owned, so the next target is the lowest free
+  // frame above it. Iteration order -- domains ascending by id, PFNs
   // ascending -- is fixed, so the pass is deterministic.
-  std::priority_queue<hw::FrameNumber, std::vector<hw::FrameNumber>,
-                      std::greater<hw::FrameNumber>>
-      free_pool;
-  for (const auto mfn : allocator_.free_frame_list()) free_pool.push(mfn);
+  hw::FrameNumber target = allocator_.lowest_free_from(0);
   std::int64_t moved = 0;
   for (auto& [id, dom] : domains_) {
     if (dom->state() == DomainState::kDead) continue;
@@ -323,16 +329,14 @@ std::int64_t Vmm::compact_memory() {
     for (mm::Pfn pfn = 0; pfn < pages; ++pfn) {
       const auto mfn = dom->p2m().mfn_of(pfn);
       if (mfn == mm::kNoFrame) continue;
-      if (free_pool.empty() || free_pool.top() >= mfn) continue;
-      const hw::FrameNumber target = free_pool.top();
-      free_pool.pop();
+      if (target < 0 || target >= mfn) continue;
       const hw::FrameNumber single[] = {target};
       allocator_.claim(id, single);
       machine_.memory().write(target, machine_.memory().read(mfn));
       dom->p2m().remove(pfn);
       dom->p2m().add(pfn, target);
       allocator_.release(mfn);
-      free_pool.push(mfn);
+      target = allocator_.lowest_free_from(target + 1);
       ++moved;
     }
   }

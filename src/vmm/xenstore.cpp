@@ -13,7 +13,10 @@ std::vector<std::string> XenStore::split(const std::string& path) {
   std::string current;
   for (std::size_t i = 1; i <= path.size(); ++i) {
     if (i == path.size() || path[i] == '/') {
-      ensure(!current.empty(), "XenStore: empty path component in '" + path + "'");
+      if (current.empty()) [[unlikely]] {
+        throw_invariant_violation("XenStore: empty path component in '" +
+                                  path + "'");
+      }
       parts.push_back(std::move(current));
       current.clear();
     } else {

@@ -89,6 +89,67 @@ TEST(FrameAllocator, FramesOwnedByAscending) {
   for (std::size_t i = 1; i < mine.size(); ++i) EXPECT_LT(mine[i - 1], mine[i]);
 }
 
+TEST(FrameAllocator, ClaimOfOwnedFrameNamesItAndChangesNothing) {
+  mm::FrameAllocator a(64);
+  a.allocate(1, 10);                                     // MFNs 0..9
+  a.claim(2, std::vector<hw::FrameNumber>{20, 21, 22});
+  const auto free_before = a.free_frames();
+  try {
+    a.claim(3, std::vector<hw::FrameNumber>{30, 31, 21, 32});
+    FAIL() << "claiming an owned frame must throw";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("frame 21 not free"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(a.free_frames(), free_before);
+  for (const hw::FrameNumber f : {30, 31, 32}) EXPECT_EQ(a.owner_of(f), kNoDomain);
+  EXPECT_EQ(a.owner_of(21), 2);
+  EXPECT_EQ(a.owned_frames(3), 0);
+  EXPECT_TRUE(a.accounting_ok());
+}
+
+TEST(FrameAllocator, AccountingSeesInterleavedRunsOfOwners) {
+  mm::FrameAllocator a(40);
+  a.claim(1, std::vector<hw::FrameNumber>{0, 1, 2, 10, 11, 39});
+  a.claim(2, std::vector<hw::FrameNumber>{3, 4, 12});
+  EXPECT_TRUE(a.accounting_ok());
+  a.release(11);
+  a.release(3);
+  EXPECT_TRUE(a.accounting_ok());
+  EXPECT_EQ(a.owned_frames(1), 5);
+  EXPECT_EQ(a.owned_frames(2), 2);
+  EXPECT_EQ(a.free_frames(), 33);
+}
+
+TEST(FrameAllocator, ReleaseOwnedFreesOnlyTheOwnersFrames) {
+  mm::FrameAllocator a(20);
+  a.claim(kVmmOwner, std::vector<hw::FrameNumber>{2, 3, 4});
+  a.claim(5, std::vector<hw::FrameNumber>{6});
+  const std::vector<hw::FrameNumber> image{2, 3, 6, 9};  // 9 is free
+  EXPECT_EQ(a.release_owned(kVmmOwner, image), 2);
+  EXPECT_EQ(a.owner_of(2), kNoDomain);
+  EXPECT_EQ(a.owner_of(3), kNoDomain);
+  EXPECT_EQ(a.owner_of(4), kVmmOwner);
+  EXPECT_EQ(a.owner_of(6), 5);
+  EXPECT_EQ(a.owned_frames(kVmmOwner), 1);
+  EXPECT_EQ(a.free_frames(), 18);
+  EXPECT_TRUE(a.accounting_ok());
+  EXPECT_EQ(a.release_owned(kVmmOwner, image), 0);
+  EXPECT_TRUE(a.accounting_ok());
+}
+
+TEST(FrameAllocator, LowestFreeFromWalksTheFreePoolInOrder) {
+  mm::FrameAllocator a(12);
+  a.claim(1, std::vector<hw::FrameNumber>{0, 1, 4, 5, 6, 11});
+  std::vector<hw::FrameNumber> walked;
+  for (auto f = a.lowest_free_from(0); f >= 0; f = a.lowest_free_from(f + 1)) {
+    walked.push_back(f);
+  }
+  EXPECT_EQ(walked, (std::vector<hw::FrameNumber>{2, 3, 7, 8, 9, 10}));
+  EXPECT_EQ(a.lowest_free_from(11), -1);
+  EXPECT_EQ(a.lowest_free_from(12), -1);
+}
+
 TEST(FrameAllocator, FrameConservationInvariant) {
   mm::FrameAllocator a(1000);
   a.allocate(1, 100);

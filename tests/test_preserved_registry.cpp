@@ -71,6 +71,34 @@ TEST(PreservedRegistry, ClearModelsPowerLoss) {
   EXPECT_TRUE(reg.names().empty());
 }
 
+TEST(PreservedRegistry, ChecksumCatchesAnySingleByteFlip) {
+  // Sizes 0..24 cover payloads of whole words, of a bare tail, and of
+  // words plus a tail of every length.
+  for (std::size_t size = 0; size <= 24; ++size) {
+    std::vector<std::byte> payload(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<std::byte>(i * 37 + size);
+    }
+    const auto clean = mm::payload_checksum(payload);
+    for (std::size_t at = 0; at < size; ++at) {
+      for (const std::byte flip : {std::byte{0x01}, std::byte{0x80}, std::byte{0xff}}) {
+        auto rotten = payload;
+        rotten[at] ^= flip;
+        EXPECT_NE(mm::payload_checksum(rotten), clean)
+            << "size " << size << " offset " << at;
+      }
+    }
+  }
+}
+
+TEST(PreservedRegistry, CorruptPayloadFailsIntact) {
+  mm::PreservedRegionRegistry reg;
+  reg.put(make_region("domain/a", 4096 + 3, {1, 2}));
+  EXPECT_TRUE(reg.intact("domain/a"));
+  reg.corrupt_payload("domain/a");
+  EXPECT_FALSE(reg.intact("domain/a"));
+}
+
 TEST(PreservedRegistry, RejectsUnnamedRegion) {
   mm::PreservedRegionRegistry reg;
   EXPECT_THROW(reg.put(make_region("", 1, {})), InvariantViolation);

@@ -54,6 +54,43 @@ TEST(Serde, TruncatedStringLengthThrows) {
   EXPECT_THROW(r.str(), InvariantViolation);
 }
 
+TEST(Serde, HugeVectorLengthPrefixThrowsInvariantViolation) {
+  // 1 << 61 elements is 2^64 bytes: n * 8 wraps to 0 and must not pass the
+  // bounds check (nor reach an allocation that throws length_error).
+  mm::ByteWriter w;
+  w.u64(std::uint64_t{1} << 61);
+  w.i64(5);
+  const auto blob = w.take();
+  mm::ByteReader r(blob);
+  EXPECT_THROW(r.i64_vector(), InvariantViolation);
+}
+
+TEST(Serde, VectorLengthOneWordPastThePayloadThrows) {
+  mm::ByteWriter w;
+  w.u64(3);  // declares three elements, carries two
+  w.i64(1);
+  w.i64(2);
+  const auto blob = w.take();
+  mm::ByteReader r(blob);
+  EXPECT_THROW(r.i64_vector(), InvariantViolation);
+}
+
+TEST(Serde, I64VectorGoldenBytes) {
+  mm::ByteWriter w;
+  w.i64_vector({1, -1, 1000000});
+  const auto blob = w.take();
+  // u64 length 3, then each element as 8 little-endian bytes.
+  const std::vector<int> expected{
+      3,    0,    0,    0,    0,    0,    0,    0,     //
+      1,    0,    0,    0,    0,    0,    0,    0,     //
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  //
+      0x40, 0x42, 0x0f, 0,    0,    0,    0,    0};
+  ASSERT_EQ(blob.size(), expected.size());
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    EXPECT_EQ(std::to_integer<int>(blob[i]), expected[i]) << "byte " << i;
+  }
+}
+
 TEST(Serde, LittleEndianLayout) {
   mm::ByteWriter w;
   w.u32(0x01020304);
